@@ -15,6 +15,7 @@ stream, with explicit tail certificates (Rosser's p_n > n log n).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -257,8 +258,9 @@ def _pool_scan(args):
 def _scan_all(d: int, X: Fraction, bound_factor: int, mode: str, jobs: int | None):
     """Run _scan_m over every residue m, optionally across processes.
 
-    Workers are forked after the weight array cache is warm, so they share
-    the big read-only arrays; results merge in ascending m either way."""
+    Workers are forked, whatever the platform's default start method, after
+    the weight array cache is warm, so they share the big read-only arrays;
+    results merge in ascending m either way."""
     ms = list(range(d))
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -267,7 +269,9 @@ def _scan_all(d: int, X: Fraction, bound_factor: int, mode: str, jobs: int | Non
         # d0 = d minimizes the envelope coefficient, so its cap dominates
         cap = _dyadic_D_cap(_uniform_bound_coeff(d, d), X * bound_factor)
         weight_ratio_array(d, max(cap, 2))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ms))) as ex:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(ms)), mp_context=multiprocessing.get_context("fork")
+        ) as ex:
             for m, res in ex.map(
                 _pool_scan, [(d, m, X, bound_factor, mode) for m in ms]
             ):

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .ntkernel import factorize, is_squarefree
+
+try:
+    import fcntl
+except ImportError:  # no advisory file locks on this platform
+    fcntl = None
 
 
 @dataclass(frozen=True, order=True)
@@ -231,35 +237,57 @@ def _cache_path() -> str | None:
     return os.path.join(root, "classgroups.json")
 
 
-def _cache_get(d: int) -> ClassGroupStructure | None:
-    path = _cache_path()
-    if path is None or not os.path.exists(path):
-        return None
+def _cache_load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError):
+        return {}
+
+
+def _cache_get(d: int) -> ClassGroupStructure | None:
+    path = _cache_path()
+    if path is None:
         return None
-    rec = data.get(str(d))
+    rec = _cache_load(path).get(str(d))
     if rec is None:
         return None
     return ClassGroupStructure(d, rec["order"], tuple(rec["divisors"]))
 
 
+@contextmanager
+def _cache_lock(path: str):
+    """Exclusive lock serializing the cache's read-modify-write cycles;
+    without fcntl the writes stay atomic but a concurrent entry may be lost."""
+    if fcntl is None:
+        yield
+        return
+    with open(path + ".lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
 def _cache_put(res: ClassGroupStructure) -> None:
+    """Merge one entry into the cache file, replacing it atomically so a
+    concurrent reader sees either the old or the new complete file."""
     path = _cache_path()
     if path is None:
         return
-    data = {}
-    if os.path.exists(path):
+    with _cache_lock(path):
+        data = _cache_load(path)
+        data[str(res.d)] = {"order": res.order, "divisors": list(res.elementary_divisors)}
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            data = {}
-    data[str(res.d)] = {"order": res.order, "divisors": list(res.elementary_divisors)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -35,6 +35,19 @@ class QuaternionAlgebra:
     @property
     def D(self) -> int:
         return self.b_alg
+
+
+def _quat_mul(al: int, be: int, u, v) -> tuple:
+    """Coordinates of (t1 + x1 i + y1 j + z1 ij)(t2 + ...) for i^2 = al,
+    j^2 = be; exact for int and Fraction coordinates alike."""
+    t1, x1, y1, z1 = u
+    t2, x2, y2, z2 = v
+    return (
+        t1 * t2 + al * x1 * x2 + be * y1 * y2 - al * be * z1 * z2,
+        t1 * x2 + x1 * t2 - be * (y1 * z2 - z1 * y2),
+        t1 * y2 + y1 * t2 + al * (x1 * z2 - z1 * x2),
+        t1 * z2 + z1 * t2 + (x1 * y2 - y1 * x2),
+    )
 
 
 @dataclass(frozen=True)
@@ -70,16 +83,7 @@ class QuatElement:
     def __mul__(self, o: "QuatElement") -> "QuatElement":
         if self.alg != o.alg:
             raise ValueError("elements of different algebras")
-        al, be = self.alg.a_alg, self.alg.b_alg
-        t1, x1, y1, z1 = self.coords()
-        t2, x2, y2, z2 = o.coords()
-        return QuatElement(
-            self.alg,
-            t1 * t2 + al * x1 * x2 + be * y1 * y2 - al * be * z1 * z2,
-            t1 * x2 + x1 * t2 - be * (y1 * z2 - z1 * y2),
-            t1 * y2 + y1 * t2 + al * (x1 * z2 - z1 * x2),
-            t1 * z2 + z1 * t2 + (x1 * y2 - y1 * x2),
-        )
+        return QuatElement(self.alg, *_quat_mul(self.alg.a_alg, self.alg.b_alg, self.coords(), o.coords()))
 
     def conjugate(self) -> "QuatElement":
         return QuatElement(self.alg, self.t, -self.x, -self.y, -self.z)
@@ -120,6 +124,32 @@ class QuaternionOrder:
     @property
     def D(self) -> int:
         return self.algebra.D
+
+    @cached_property
+    def scaled_basis(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(N, rows): N is the common denominator of the basis coordinates
+        and rows[i] holds the integer coordinates (t, x, y, z) of N e_i."""
+        N = lcm(*(c.denominator for e in self.basis for c in e.coords()))
+        rows = tuple(
+            tuple(c.numerator * (N // c.denominator) for c in e.coords())
+            for e in self.basis
+        )
+        return N, rows
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The integer trace form trd(e_i conj(e_j)), computed once from
+        the scaled basis: 2(tt' - a xx' - b yy' + ab zz') divided by N^2."""
+        N, rows = self.scaled_basis
+        al, be = self.algebra.a_alg, self.algebra.b_alg
+        weights = (2, -2 * al, -2 * be, 2 * al * be)
+        return tuple(
+            tuple(
+                _exact_div(sum(w * s * t for w, s, t in zip(weights, u, v)), N * N, "trace pairing")
+                for v in rows
+            )
+            for u in rows
+        )
 
 
 def lattice_params(a: int, b: int, c0: int, d: int, d0: int) -> tuple[int, int, int]:
@@ -176,44 +206,42 @@ def build_order(circle: HermitianCircle) -> QuaternionOrder:
     return QuaternionOrder(alg, (e0, e1, e2, e3), OrderParams(alpha1, alpha2, beta, d0, b, a, c0))
 
 
-def _as_int(q: Fraction, what: str) -> int:
-    if q.denominator != 1:
-        raise ValueError(f"internal consistency: {what} = {q} is not an integer")
-    return q.numerator
+def _exact_div(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError(f"internal consistency: {what} = {num}/{den} is not an integer")
+    return q
 
 
-def trace_gram(order: QuaternionOrder) -> list[list[int]]:
+def trace_gram(order: QuaternionOrder) -> tuple[tuple[int, ...], ...]:
     """The 4x4 integer matrix trd(e_i conj(e_j)) over the basis."""
-    basis = order.basis
-    out = []
-    for ei in basis:
-        row = []
-        for ej in basis:
-            row.append(_as_int((ei * ej.conjugate()).trd(), "trace pairing"))
-        out.append(row)
-    return out
+    return order.gram
 
 
-def _det4(m: list[list[int]]) -> int:
-    # cofactor expansion; 4x4 integer input is tiny
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
+def _minor(m, row: int, col: int) -> list[list[int]]:
+    return [[v for j, v in enumerate(r) if j != col] for i, r in enumerate(m) if i != row]
 
-    total = 0
-    for j in range(4):
-        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        term = m[0][j] * det3(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+
+def _det3(a) -> int:
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def _det4(m) -> int:
+    # cofactor expansion along the first row; 4x4 integer input is tiny
+    return sum((-1) ** j * m[0][j] * _det3(_minor(m, 0, j)) for j in range(4))
+
+
+def _adjugate4(m) -> list[list[int]]:
+    return [[(-1) ** (i + j) * _det3(_minor(m, j, i)) for j in range(4)] for i in range(4)]
 
 
 def reduced_discriminant(order: QuaternionOrder) -> int:
     """Square root of |det trd(e_i conj(e_j))|; errors if not a square."""
-    det = _det4(trace_gram(order))
+    det = _det4(order.gram)
     adet = abs(det)
     root = isqrt(adet)
     if root * root != adet:
@@ -221,46 +249,40 @@ def reduced_discriminant(order: QuaternionOrder) -> int:
     return root
 
 
+def _coordinate_map(order: QuaternionOrder) -> tuple[list[list[int]], int]:
+    """(adj, den) with the basis coordinates of an element x equal to
+    adj (N^2 x) / den: adj is the adjugate of the matrix whose columns are
+    the scaled basis vectors N e_j, and den = N det."""
+    N, rows = order.scaled_basis
+    cols = [list(col) for col in zip(*rows)]
+    det = _det4(cols)
+    if det == 0:
+        raise ValueError("basis vectors are linearly dependent")
+    return _adjugate4(cols), N * det
+
+
 def closure_defect(order: QuaternionOrder) -> list[tuple[int, int]]:
     """Pairs (i, j) whose basis product fails to have integer coordinates;
     empty for a genuine order."""
-    cols = [e.coords() for e in order.basis]
-    mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-    inv = _invert4(mat)
+    _, rows = order.scaled_basis
+    adj, den = _coordinate_map(order)
+    al, be = order.algebra.a_alg, order.algebra.b_alg
     bad = []
-    for i, ei in enumerate(order.basis):
-        for j, ej in enumerate(order.basis):
-            prod = ei * ej
-            coords = _apply4(inv, prod.coords())
-            if any(c.denominator != 1 for c in coords):
+    for i, u in enumerate(rows):
+        for j, v in enumerate(rows):
+            w = _quat_mul(al, be, u, v)  # = N^2 e_i e_j
+            if any(sum(a * x for a, x in zip(arow, w)) % den for arow in adj):
                 bad.append((i, j))
     return bad
 
 
-def _invert4(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = 4
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _apply4(m: list[list[Fraction]], v) -> tuple[Fraction, ...]:
-    return tuple(sum(m[i][j] * v[j] for j in range(4)) for i in range(4))
-
-
 def order_coordinates(order: QuaternionOrder, elem: QuatElement) -> tuple[Fraction, ...]:
     """Coordinates of elem in the order basis (rational in general)."""
-    cols = [e.coords() for e in order.basis]
-    mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-    return _apply4(_invert4(mat), elem.coords())
+    N, _ = order.scaled_basis
+    adj, den = _coordinate_map(order)
+    return tuple(
+        Fraction(N * N * sum(a * x for a, x in zip(arow, elem.coords())), den) for arow in adj
+    )
 
 
 # --- closed-form local data ---------------------------------------------
@@ -302,39 +324,60 @@ def integral_form_coefficients(order: QuaternionOrder) -> tuple[list[int], list[
     """(trace vector, norm diagonal, off-diagonal trace pairings), all
     integers, describing T(k) = sum k_i trd(e_i) and the norm form
     Q(k) = sum nrd(e_i) k_i^2 + sum_{i<j} trd(e_i conj(e_j)) k_i k_j."""
-    basis = order.basis
-    tvec = [_as_int(e.trd(), "basis trace") for e in basis]
-    ndiag = [_as_int(e.nrd(), "basis norm") for e in basis]
-    cross = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cross[(i, j)] = _as_int((basis[i] * basis[j].conjugate()).trd(), "trace pairing")
+    N, rows = order.scaled_basis
+    gram = order.gram
+    tvec = [_exact_div(2 * u[0], N, "basis trace") for u in rows]
+    ndiag = [_exact_div(gram[i][i], 2, "basis norm") for i in range(4)]
+    cross = {(i, j): gram[i][j] for i in range(4) for j in range(i + 1, 4)}
     return tvec, ndiag, cross
 
 
-def _form_values_mod(tvec, ndiag, cross, kgrid: tuple[np.ndarray, ...], mod: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T mod, Q mod) evaluated on broadcast coordinate arrays."""
-    k0, k1, k2, k3 = kgrid
-    ks = (k0, k1, k2, k3)
-    T = sum((tvec[i] % mod) * ks[i] for i in range(4)) % mod
-    Q = sum((ndiag[i] % mod) * ks[i] * ks[i] for i in range(4))
-    for (i, j), v in cross.items():
-        Q = Q + (v % mod) * ks[i] * ks[j]
-    return T, Q % mod
+def _quadratic_forms(order: QuaternionOrder) -> tuple[list[list[int]], list[list[int]]]:
+    """Upper-triangular integer coefficients f[i][j] (i <= j) of the forms
+    Delta = T^2 - 4Q and Q in the basis coordinates k."""
+    tvec, ndiag, cross = integral_form_coefficients(order)
+    norm = [[ndiag[i] if i == j else cross.get((i, j), 0) for j in range(4)] for i in range(4)]
+    delta = [
+        [(1 if i == j else 2) * tvec[i] * tvec[j] - 4 * norm[i][j] if j >= i else 0 for j in range(4)]
+        for i in range(4)
+    ]
+    return delta, norm
 
 
-def _projective_grids(p: int):
-    """Coordinate arrays covering one representative of every line in
-    F_p^4: (1,a,b,c), (0,1,b,c), (0,0,1,c), (0,0,0,1)."""
+def _form_values(f: list[list[int]], ks, mod: int = 0):
+    """sum_{i<=j} f[i][j] k_i k_j on broadcast coordinate arrays, reduced
+    mod `mod` (coefficients first, so the values stay small) when mod > 0."""
+    val = np.int64(0)
+    for i in range(4):
+        for j in range(i, 4):
+            c = f[i][j] % mod if mod else f[i][j]
+            if c:
+                val = val + c * ks[i] * ks[j]
+    return val % mod if mod else val
+
+
+def _line_residues(f: list[list[int]], p: int) -> np.ndarray:
+    """Boolean table over F_p of the values of f mod p at one representative
+    of every line of F_p^4: (1,a,b,c), (0,1,b,c), (0,0,1,c), (0,0,0,1).
+
+    The first family runs one p x p slice per c:
+    f(1,a,b,c) = P(a,b) + c L(a,b) + f33 c^2 with P, L and f33 reduced
+    mod p.  The slice is left unreduced, below p^2, and marks a table of
+    p^2 entries whose rows are folded mod p at the end."""
     ar = np.arange(p, dtype=np.int64)
-    a, b, c = np.meshgrid(ar, ar, ar, indexing="ij", sparse=True)
-    one = np.int64(1)
-    zero = np.int64(0)
-    yield (one, a, b, c)
-    b2, c2 = np.meshgrid(ar, ar, indexing="ij", sparse=True)
-    yield (zero, one, b2, c2)
-    yield (zero, zero, one, ar)
-    yield (zero, zero, zero, np.array([1], dtype=np.int64))
+    a, b = np.meshgrid(ar, ar, indexing="ij", sparse=True)
+    hit = np.zeros(p * p, dtype=bool)
+    P = _form_values(f, (1, a, b, 0), p)
+    L = (f[0][3] % p + (f[1][3] % p) * a + (f[2][3] % p) * b) % p
+    f33 = f[3][3] % p
+    cur = np.broadcast_to(P, (p, p)).copy()  # P + c L
+    for c in range(p):
+        hit[cur + f33 * c * c % p] = True
+        cur += L
+    hit[_form_values(f, (0, 1, a, b), p)] = True
+    hit[_form_values(f, (0, 0, 1, ar), p)] = True
+    hit[_form_values(f, (0, 0, 0, 1), p)] = True
+    return hit.reshape(p, p).any(axis=0)
 
 
 def _qr_table(p: int) -> np.ndarray:
@@ -344,19 +387,9 @@ def _qr_table(p: int) -> np.ndarray:
     return tab
 
 
-def _collect_symbols(sym: np.ndarray, into: set[int]) -> None:
-    if np.any(sym == 0):
-        into.add(0)
-    if np.any(sym == 1):
-        into.add(1)
-    if np.any(sym == -1):
-        into.add(-1)
-
-
 @lru_cache(maxsize=4096)
 def _local_value_sets(order: QuaternionOrder, p: int) -> tuple[frozenset, frozenset]:
-    """Symbol value sets of (Delta, nrd) over the order reduced mod p, one
-    shared enumeration pass.
+    """Symbol value sets of (Delta, nrd) over the order reduced mod p.
 
     Odd p: one representative per line of F_p^4 suffices, since both forms
     are quadratic and scaling by lambda^2 preserves the symbol; the zero
@@ -364,36 +397,25 @@ def _local_value_sets(order: QuaternionOrder, p: int) -> tuple[frozenset, frozen
     mod 8 with the Kronecker-at-2 symbol; the nrd set is not collected
     there (unused).
     """
-    tvec, ndiag, cross = integral_form_coefficients(order)
+    delta_form, norm_form = _quadratic_forms(order)
     if p == 2:
         ar = np.arange(8, dtype=np.int64)
-        grids = [np.meshgrid(ar, ar, ar, ar, indexing="ij", sparse=True)]
-        mod = 8
+        delta = np.asarray(_form_values(delta_form, np.meshgrid(ar, ar, ar, ar, indexing="ij", sparse=True), 8))
+        odd = delta[delta % 2 == 1]
         d_seen: set[int] = set()
-        n_seen: set[int] = set()
-    else:
-        grids = list(_projective_grids(p))
-        mod = p
-        d_seen = {0}
-        n_seen = {0}
-    tab = None if p == 2 else _qr_table(p)
-    for kgrid in grids:
-        T, Q = _form_values_mod(tvec, ndiag, cross, kgrid, mod)
-        delta = (T * T - 4 * Q) % mod
-        if p == 2:
-            odd = delta[delta % 2 == 1] % 8
-            if odd.size < delta.size:
-                d_seen.add(0)
-            if np.any((odd == 1) | (odd == 7)):
-                d_seen.add(1)
-            if np.any((odd == 3) | (odd == 5)):
-                d_seen.add(-1)
-        else:
-            _collect_symbols(tab[delta], d_seen)
-            _collect_symbols(tab[Q], n_seen)
-        if len(d_seen) == 3 and (p == 2 or len(n_seen) == 3):
-            break
-    return frozenset(d_seen), frozenset(n_seen)
+        if odd.size < delta.size:
+            d_seen.add(0)
+        if np.any((odd == 1) | (odd == 7)):
+            d_seen.add(1)
+        if np.any((odd == 3) | (odd == 5)):
+            d_seen.add(-1)
+        return frozenset(d_seen), frozenset()
+    tab = _qr_table(p)
+    d_seen, n_seen = (
+        frozenset(tab[np.flatnonzero(_line_residues(f, p))].tolist()) | {0}
+        for f in (delta_form, norm_form)
+    )
+    return d_seen, n_seen
 
 
 def eichler_symbol_bruteforce(order: QuaternionOrder, p: int) -> int:
@@ -457,13 +479,8 @@ def rho_prime(order: QuaternionOrder, elem: QuatElement) -> Mat2:
 def norm_one_elements(order: QuaternionOrder, bound: int = 10, limit: int = 20) -> list[QuatElement]:
     """Order elements of reduced norm 1 with basis coordinates in
     [-bound, bound], excluding +-1, in deterministic scan order."""
-    tvec, ndiag, cross = integral_form_coefficients(order)
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    k0, k1, k2, k3 = np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True)
-    ks = (k0, k1, k2, k3)
-    Q = sum(ndiag[i] * ks[i] * ks[i] for i in range(4))
-    for (i, j), v in cross.items():
-        Q = Q + v * ks[i] * ks[j]
+    Q = _form_values(_quadratic_forms(order)[1], np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True))
     hits = np.argwhere(Q == 1)
     out = []
     for idx in hits:

@@ -87,9 +87,9 @@ def compare_to_threshold(area: ExactArea, threshold: str | Fraction) -> int:
     q = area.q
     dps = 30
     while True:
-        mpmath.mp.dps = dps
-        pi_lo = mpmath.mpf(mpmath.pi) * (1 - mpmath.mpf(10) ** (3 - dps))
-        pi_hi = mpmath.mpf(mpmath.pi) * (1 + mpmath.mpf(10) ** (3 - dps))
+        with mpmath.workdps(dps):
+            pi_lo = mpmath.mpf(mpmath.pi) * (1 - mpmath.mpf(10) ** (3 - dps))
+            pi_hi = mpmath.mpf(mpmath.pi) * (1 + mpmath.mpf(10) ** (3 - dps))
         lo = Fraction(q.numerator, q.denominator) * _to_fraction(pi_lo)
         hi = Fraction(q.numerator, q.denominator) * _to_fraction(pi_hi)
         if lo > x:

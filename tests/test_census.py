@@ -87,6 +87,11 @@ def test_xi_spot_values():
     assert xi(3, Fraction("2.2")) == 5
 
 
+def test_xi_independent_of_jobs():
+    X = Fraction("99.5")
+    assert xi(15, X, jobs=2) == xi(15, X, jobs=1)
+
+
 def test_xi_rejects_inadmissible_d():
     with pytest.raises(ValueError):
         xi(39, 10)

@@ -4,15 +4,18 @@ matrix representations."""
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bianchisurf.hermitian import HermitianCircle, Mat2, SurfaceIndex, pullback_circle
-from bianchisurf.ntkernel import factorize
+from bianchisurf.ntkernel import factorize, legendre
 from bianchisurf.quatorder import (
     QuatElement,
     QuaternionAlgebra,
+    QuaternionOrder,
+    _local_value_sets,
     build_order,
     closure_defect,
     eichler_symbol_bruteforce,
@@ -28,9 +31,11 @@ from bianchisurf.quatorder import (
     rho_prime,
     trace_gram,
 )
-from bianchisurf.verify import surfaces_under
+from bianchisurf.verify import SWEEP_DS, pairs_under, surfaces_under
 
 ALG = QuaternionAlgebra(-3, 12)
+
+SMALL_CIRCLES = [idx for d in SWEEP_DS for idx, _, _ in surfaces_under(d, 30)]
 
 
 def elem(t, x=0, y=0, z=0):
@@ -95,6 +100,67 @@ def test_order_closure_small_sweep():
             order = build_order(pullback_circle(idx))
             assert closure_defect(order) == []
             assert reduced_discriminant(order) == d * D // (d0 * d0)
+
+
+def fraction_gram(order):
+    """trd(e_i conj(e_j)) from rational quaternion products."""
+    return [[(ei * ej.conjugate()).trd() for ej in order.basis] for ei in order.basis]
+
+
+@given(st.sampled_from(SMALL_CIRCLES), st.lists(st.integers(-50, 50), min_size=4, max_size=4))
+def test_integer_order_data_matches_fraction_reference(idx, ks):
+    order = build_order(pullback_circle(idx))
+    assert trace_gram(order) == tuple(tuple(row) for row in fraction_gram(order))
+    tvec, ndiag, cross = integral_form_coefficients(order)
+    e = order.basis[0].scale(ks[0])
+    for k, b in zip(ks[1:], order.basis[1:]):
+        e = e + b.scale(k)
+    assert e.trd() == sum(k * t for k, t in zip(ks, tvec))
+    Q = sum(ndiag[i] * ks[i] * ks[i] for i in range(4))
+    Q += sum(v * ks[i] * ks[j] for (i, j), v in cross.items())
+    assert e.nrd() == Q
+
+
+def test_closure_defect_detects_unclosed_lattice():
+    order = build_order(pullback_circle(SurfaceIndex(15, 2, -1, 1)))
+    assert closure_defect(order) == []
+    halved = (order.basis[0].scale(Fraction(1, 2)),) + order.basis[1:]
+    lattice = QuaternionOrder(order.algebra, halved, order.params)
+    defect = closure_defect(lattice)
+    assert (0, 0) in defect  # 1/2 * 1/2 = 1/4 is not in the lattice
+
+
+def naive_value_sets(order, p):
+    """Symbol sets of (Delta, nrd) over the whole grid of coefficient
+    vectors mod p (mod 8 for p = 2), from the rational reference forms."""
+    gram = fraction_gram(order)
+    tvec = [int(e.trd()) for e in order.basis]
+    mod = 8 if p == 2 else p
+    ar = np.arange(mod, dtype=np.int64)
+    ks = np.meshgrid(ar, ar, ar, ar, indexing="ij")
+    T = sum(tvec[i] * ks[i] for i in range(4))
+    Q = sum(int(gram[i][i] / 2) * ks[i] * ks[i] for i in range(4))
+    Q = Q + sum(int(gram[i][j]) * ks[i] * ks[j] for i in range(4) for j in range(i + 1, 4))
+    delta = (T * T - 4 * Q) % mod
+    if p == 2:
+        odd = delta[delta % 2 == 1]
+        signs = {1 if v in (1, 7) else -1 for v in odd.tolist()}
+        return frozenset(signs | ({0} if odd.size < delta.size else set())), frozenset()
+    return tuple(
+        frozenset(legendre(int(v), p) for v in np.unique(vals % p)) for vals in (delta, Q)
+    )
+
+
+def test_value_sets_match_full_grid():
+    checked = set()
+    for d in SWEEP_DS:
+        for m, c, _, _ in pairs_under(d, 40):
+            order = build_order(pullback_circle(SurfaceIndex(d, m, c, 1)))
+            for p, _ in factorize(reduced_discriminant(order)).factors:
+                if p <= 13:
+                    assert _local_value_sets(order, p) == naive_value_sets(order, p), (d, m, c, p)
+                    checked.add(p)
+    assert checked == {2, 3, 5, 7, 11, 13}
 
 
 def test_order_coordinates_roundtrip():

@@ -3,6 +3,7 @@ comparison."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from bianchisurf.hermitian import SurfaceIndex, divisors_below_sqrt
@@ -52,6 +53,17 @@ def test_compare_to_threshold():
     # many digits of 2 pi / 3; the interval must keep widening until it
     # resolves the sign
     assert compare_to_threshold(a, "2.09439510239319549230842892218633") == 1
+
+
+def test_compare_to_threshold_restores_precision():
+    a = ExactArea(Fraction(2, 3))
+    before = mpmath.mp.dps
+    assert compare_to_threshold(a, Fraction("2.0943951023931954923")) == 1
+    assert mpmath.mp.dps == before
+    # 33 digits of 2 pi / 3: decided only after the interval is widened
+    # to a second working precision
+    assert compare_to_threshold(a, "2.09439510239319549230842892218633") == 1
+    assert mpmath.mp.dps == before
 
 
 def test_dual_routes_agree_quick():
