@@ -1,12 +1,15 @@
 """Surface enumeration, counting asymptotics, and Euler-product constants.
 
-The enumeration scans c downward per residue m, pricing each candidate with
-vectorized Euler factors, and stops behind a certified monotone envelope:
-the fluctuating factor prod_{p|D}(1 + chi(p)/p) is bounded below by the
-Mertens-style product over the first floor(log2 D) primes, which rises
-dyadically.  All threshold decisions are exact: floats do the bulk pricing,
-and anything within a guard band of the threshold is re-decided with
-rationals and interval pi.
+One scan feeds xi, threshold ladders and record listings: per residue m
+it runs c downward, prices each candidate once with vectorized Euler
+factors, keeps the c below each threshold, and stops behind a certified
+monotone envelope: the fluctuating factor prod_{p|D}(1 + chi(p)/p) is
+bounded below by the Mertens-style product over the first floor(log2 D)
+primes, which rises dyadically.  Every threshold decision, here and in the
+counting lemma, goes through one exact decider: floats decide outside a
+guard band, and anything inside it is re-decided with rationals (and
+interval pi for areas).  The weight array behind the pricing is cached for
+one field at a time.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -20,12 +23,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 import numpy as np
 
 from .classgroup import is_admissible
-from .hermitian import SurfaceIndex, divisors_below_sqrt
+from .hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
 from .ntkernel import PRIMES, character, divisor_stats, factorize, prime_blocks
 from .volume import ExactArea, area_closed_form, compare_to_threshold
 
@@ -85,8 +89,8 @@ _RATIO_CACHE: dict[int, np.ndarray] = {}
 def weight_ratio_array(d: int, cap: int) -> np.ndarray:
     """R[n] = prod_{p | n, p not | d} (1 + chi(p)/p) for n < cap, float64.
 
-    Built by one multiplicative pass over primes; cached per d and grown
-    monotonically.
+    Built by one multiplicative pass over primes.  The cache keeps one
+    field, the most recently built, and grows it monotonically.
     """
     cached = _RATIO_CACHE.get(d)
     if cached is not None and len(cached) >= cap:
@@ -100,8 +104,21 @@ def weight_ratio_array(d: int, cap: int) -> np.ndarray:
             if ch == 0:
                 continue
             R[p::p] *= 1.0 + ch / p
+    _RATIO_CACHE.clear()
     _RATIO_CACHE[d] = R
     return R
+
+
+def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
+    """Exact mask of values < X.  The floats decide every entry outside the
+    guard band |value - X| <= 1e-9 X + 1e-12; exact_below(k) decides each
+    entry k inside it."""
+    Xf = float(X)
+    guard = 1e-9 * Xf + 1e-12
+    below = values < Xf - guard
+    for k in np.flatnonzero(np.abs(values - Xf) <= guard).tolist():
+        below[k] = exact_below(k)
+    return below
 
 
 def count_F_in_progression(d: int, a: int, r: int, X) -> int:
@@ -123,16 +140,8 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     R = weight_ratio_array(d, max(ncap, 2))
     start = r % a if (r % a) else a
     ns = np.arange(start, ncap, a, dtype=np.int64)
-    if len(ns) == 0:
-        return 0
     F = ns.astype(np.float64) * R[ns]
-    Xf = float(X)
-    guard = 1e-9 * Xf + 1e-12
-    count = int(np.count_nonzero(F < Xf - guard))
-    for n in ns[np.abs(F - Xf) <= guard].tolist():
-        if F_value(d, int(n)) < X:
-            count += 1
-    return count
+    return int(np.count_nonzero(_below(F, X, lambda k: F_value(d, int(ns[k])) < X)))
 
 
 # --- census enumeration --------------------------------------------------
@@ -179,19 +188,14 @@ def _exact_q(d: int, m: int, c: int) -> Fraction:
 _CHUNK = 1 << 17
 
 
-def _scan_m(d: int, m: int, X: Fraction, bound_factor: int, mode: str):
+def _scan_m(d: int, m: int, xs: list[Fraction], bound_factor: int) -> list[np.ndarray]:
     """One residue class m, c descending under the certified envelope cut at
-    bound_factor times the threshold.
-
-    mode "count": exact number of c with area < X.
-    mode "pairs": those (m, c) pairs, exactly decided.
-    mode "areas": float areas plus c values for every scanned candidate,
-    threshold decisions deferred to the caller.
-    """
+    bound_factor times the largest threshold; returns, per threshold x, the
+    array of c with area exactly below x."""
     g = gcd(m, d)
     d0 = d // g
     side_primes = [p for p, _ in factorize(d // d0).factors]
-    cap = _dyadic_D_cap(_uniform_bound_coeff(d, d0), X * bound_factor)
+    cap = _dyadic_D_cap(_uniform_bound_coeff(d, d0), max(xs) * bound_factor)
     R = weight_ratio_array(d, max(cap, 2))
     base_q = float(Fraction(d, d0 * d0) / 3)
     # per-prime lookup tables indexed by D mod p, folding in the halving at
@@ -212,74 +216,41 @@ def _scan_m(d: int, m: int, X: Fraction, bound_factor: int, mode: str):
     step = d * d // (g * g)
     D0 = d * n0 // (g * g)
     total = int(math.ceil((cap - D0) / step)) if cap > D0 else 0
-    Xf = float(X)
-    guard = 1e-9 * Xf + 1e-12
-    count = 0
-    pairs: list[tuple[int, int]] = []
-    area_chunks: list[np.ndarray] = []
+    kept = [[np.empty(0, dtype=np.int64)] for _ in xs]
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        j = np.arange(lo, hi, dtype=np.int64)
+        j = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         D = D0 + step * j
         qv = base_q * D.astype(np.float64) * R[D]
         for p, tab in tabs:
             qv *= tab[D % p]
         area = qv * math.pi
-        if mode == "areas":
-            area_chunks.append(area)
-            continue
-        inside = area < Xf - guard
-        count += int(np.count_nonzero(inside))
-        if mode == "pairs":
-            inside = inside.copy()
-        for jj in j[np.abs(area - Xf) <= guard].tolist():
-            c = c_start - jj
-            if compare_to_threshold(ExactArea(_exact_q(d, m, c)), X) < 0:
-                count += 1
-                if mode == "pairs":
-                    inside[jj - lo] = True
-        if mode == "pairs":
-            for jj in j[inside].tolist():
-                pairs.append((m, c_start - jj))
-    if mode == "areas":
-        areas = (
-            np.concatenate(area_chunks) if area_chunks else np.empty(0, dtype=np.float64)
-        )
-        cs = c_start - np.arange(total, dtype=np.int64)
-        return areas, cs
-    return count, pairs
+        for out, x in zip(kept, xs):
+            below = _below(
+                area, x, lambda k: compare_to_threshold(ExactArea(_exact_q(d, m, c_start - lo - k)), x) < 0
+            )
+            out.append(c_start - j[below])
+    return [np.concatenate(out) for out in kept]
 
 
-def _pool_scan(args):
-    d, m, X, bf, mode = args
-    return m, _scan_m(d, m, X, bf, mode)
+def _scan_all(d: int, xs: list[Fraction], bound_factor: int, jobs: int | None) -> list[list[np.ndarray]]:
+    """_scan_m over every residue m in ascending order, optionally across
+    processes.
 
-
-def _scan_all(d: int, X: Fraction, bound_factor: int, mode: str, jobs: int | None):
-    """Run _scan_m over every residue m, optionally across processes.
-
-    Workers are forked, whatever the platform's default start method, after
-    the weight array cache is warm, so they share the big read-only arrays;
-    results merge in ascending m either way."""
-    ms = list(range(d))
+    The weight array is built once, at the cap for d0 = d, which minimizes
+    the envelope coefficient and so dominates every m.  Workers are forked,
+    whatever the platform's default start method, after that build, so they
+    share the big read-only array."""
     if jobs is None:
         jobs = os.cpu_count() or 1
-    results = {}
+    cap = _dyadic_D_cap(_uniform_bound_coeff(d, d), max(xs) * bound_factor)
+    weight_ratio_array(d, max(cap, 2))
+    args = (repeat(d), range(d), repeat(xs), repeat(bound_factor))
     if jobs > 1 and hasattr(os, "fork"):
-        # d0 = d minimizes the envelope coefficient, so its cap dominates
-        cap = _dyadic_D_cap(_uniform_bound_coeff(d, d), X * bound_factor)
-        weight_ratio_array(d, max(cap, 2))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(ms)), mp_context=multiprocessing.get_context("fork")
+            max_workers=min(jobs, d), mp_context=multiprocessing.get_context("fork")
         ) as ex:
-            for m, res in ex.map(
-                _pool_scan, [(d, m, X, bound_factor, mode) for m in ms]
-            ):
-                results[m] = res
-    else:
-        for m in ms:
-            results[m] = _scan_m(d, m, X, bound_factor, mode)
-    return [results[m] for m in ms]
+            return list(ex.map(_scan_m, *args))
+    return list(map(_scan_m, *args))
 
 
 def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -> list[SurfaceRecord]:
@@ -292,17 +263,13 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
     X = Fraction(X)
     if X <= 0:
         return []
-    per_m = _scan_all(d, X, bound_factor, mode="pairs", jobs=jobs)
     rs = divisors_below_sqrt(d)
     records = []
-    for _, pairs in per_m:
-        for m, c in pairs:
-            g = gcd(m, d)
-            d0 = d // g
-            D = (m * m * d - c * d * d) // (g * g)
+    for m, (cs,) in enumerate(_scan_all(d, [X], bound_factor, jobs)):
+        for c in cs.tolist():
+            d0, D = d0_and_D(d, m, c)
             q = _exact_q(d, m, c)
-            for r in rs:
-                records.append(SurfaceRecord(m, c, r, d0, D, q))
+            records.extend(SurfaceRecord(m, c, r, d0, D, q) for r in rs)
     records.sort(key=lambda t: (t.q, t.m, t.c, t.r))
     return records
 
@@ -310,38 +277,22 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
 def xi(d: int, X, jobs: int | None = 1) -> int:
     """Number of surfaces with area below X: per-(m, c) count times the
     number of divisor classes."""
-    _require_admissible(d)
     X = Fraction(X)
     if X <= 0:
+        _require_admissible(d)
         return 0
-    per_m = _scan_all(d, X, bound_factor=1, mode="count", jobs=jobs)
-    return sum(count for count, _ in per_m) * len(divisors_below_sqrt(d))
+    return surface_counts(d, [X], jobs=jobs)[0]
 
 
 def surface_counts(d: int, thresholds: list, jobs: int | None = 1) -> list[int]:
-    """xi at several thresholds from one scan at the largest of them.
-
-    Bulk decisions ride on float areas; only candidates inside the guard
-    band around a threshold are re-decided exactly."""
+    """xi at several thresholds from one scan at the largest of them."""
     _require_admissible(d)
     xs = [Fraction(x) for x in thresholds]
     if any(x <= 0 for x in xs):
         raise ValueError("thresholds must be positive")
-    per_m = _scan_all(d, max(xs), bound_factor=1, mode="areas", jobs=jobs)
     mult = len(divisors_below_sqrt(d))
-    out = []
-    for x in xs:
-        xf = float(x)
-        guard = 1e-9 * xf + 1e-12
-        n = 0
-        for m, (areas, cs) in enumerate(per_m):
-            n += int(np.count_nonzero(areas < xf - guard))
-            for k in np.nonzero(np.abs(areas - xf) <= guard)[0].tolist():
-                q = _exact_q(d, m, int(cs[k]))
-                if compare_to_threshold(ExactArea(q), x) < 0:
-                    n += 1
-        out.append(n * mult)
-    return out
+    per_m = _scan_all(d, xs, bound_factor=1, jobs=jobs)
+    return [mult * sum(map(len, kept)) for kept in zip(*per_m)]
 
 
 @dataclass(frozen=True)

@@ -332,15 +332,19 @@ def integral_form_coefficients(order: QuaternionOrder) -> tuple[list[int], list[
     return tvec, ndiag, cross
 
 
-def _quadratic_forms(order: QuaternionOrder) -> tuple[list[list[int]], list[list[int]]]:
+_Form = tuple[tuple[int, ...], ...]
+
+
+def _quadratic_forms(order: QuaternionOrder) -> tuple[_Form, _Form]:
     """Upper-triangular integer coefficients f[i][j] (i <= j) of the forms
-    Delta = T^2 - 4Q and Q in the basis coordinates k."""
+    Delta = T^2 - 4Q and Q in the basis coordinates k, as nested tuples so
+    that they can key the value-set cache."""
     tvec, ndiag, cross = integral_form_coefficients(order)
-    norm = [[ndiag[i] if i == j else cross.get((i, j), 0) for j in range(4)] for i in range(4)]
-    delta = [
-        [(1 if i == j else 2) * tvec[i] * tvec[j] - 4 * norm[i][j] if j >= i else 0 for j in range(4)]
+    norm = tuple(tuple(ndiag[i] if i == j else cross.get((i, j), 0) for j in range(4)) for i in range(4))
+    delta = tuple(
+        tuple((1 if i == j else 2) * tvec[i] * tvec[j] - 4 * norm[i][j] if j >= i else 0 for j in range(4))
         for i in range(4)
-    ]
+    )
     return delta, norm
 
 
@@ -388,8 +392,9 @@ def _qr_table(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _local_value_sets(order: QuaternionOrder, p: int) -> tuple[frozenset, frozenset]:
-    """Symbol value sets of (Delta, nrd) over the order reduced mod p.
+def _local_value_sets(forms: tuple[_Form, _Form], p: int) -> tuple[frozenset, frozenset]:
+    """Symbol value sets of (Delta, nrd) over an order reduced mod p, from
+    its forms (_quadratic_forms); rebuilt orders share one cache entry.
 
     Odd p: one representative per line of F_p^4 suffices, since both forms
     are quadratic and scaling by lambda^2 preserves the symbol; the zero
@@ -397,7 +402,7 @@ def _local_value_sets(order: QuaternionOrder, p: int) -> tuple[frozenset, frozen
     mod 8 with the Kronecker-at-2 symbol; the nrd set is not collected
     there (unused).
     """
-    delta_form, norm_form = _quadratic_forms(order)
+    delta_form, norm_form = forms
     if p == 2:
         ar = np.arange(8, dtype=np.int64)
         delta = np.asarray(_form_values(delta_form, np.meshgrid(ar, ar, ar, ar, indexing="ij", sparse=True), 8))
@@ -425,7 +430,7 @@ def eichler_symbol_bruteforce(order: QuaternionOrder, p: int) -> int:
     drd = reduced_discriminant(order)
     if drd % p:
         raise ValueError(f"p = {p} does not divide the reduced discriminant {drd}")
-    seen = set(_local_value_sets(order, p)[0])
+    seen = set(_local_value_sets(_quadratic_forms(order), p)[0])
     if seen == {0}:
         return 0
     if seen == {0, 1}:
@@ -443,7 +448,7 @@ def nrd_index_bruteforce(order: QuaternionOrder, p: int) -> int:
     drd = reduced_discriminant(order)
     if drd % p:
         raise ValueError(f"p = {p} does not divide the reduced discriminant {drd}")
-    nonzero = set(_local_value_sets(order, p)[1]) - {0}
+    nonzero = set(_local_value_sets(_quadratic_forms(order), p)[1]) - {0}
     if nonzero == {1}:
         return 2
     if nonzero == {1, -1}:

@@ -136,9 +136,10 @@ def sweep(ds=SWEEP_DS, D_limit=SWEEP_D_LIMIT) -> tuple[SuiteReport, SuiteReport]
                     f"{tag}: basis not closed",
                     "closure",
                 )
+                drd = reduced_discriminant(order)
                 orders.record(
-                    reduced_discriminant(order) == drd_expected,
-                    f"{tag}: reduced discriminant {reduced_discriminant(order)} != {drd_expected}",
+                    drd == drd_expected,
+                    f"{tag}: reduced discriminant {drd} != {drd_expected}",
                     "drd",
                 )
                 for p in drd_primes:

@@ -6,14 +6,10 @@ from __future__ import annotations
 
 import pytest
 
+from acceptance_log import ACCEPTANCE_LINES
+
 from bianchisurf.census import leading_constants_bundle
 from bianchisurf.verify import SWEEP_DS, sweep
-
-_ACCEPTANCE_LINES: list[str] = []
-
-
-def record_acceptance(line: str) -> None:
-    _ACCEPTANCE_LINES.append(line)
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +25,7 @@ def constants_bundle():
 
 
 def pytest_terminal_summary(terminalreporter):
-    if _ACCEPTANCE_LINES:
+    if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
-        for line in _ACCEPTANCE_LINES:
+        for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)

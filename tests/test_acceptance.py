@@ -8,7 +8,7 @@ import warnings
 
 from fractions import Fraction
 
-from conftest import record_acceptance
+from acceptance_log import record_acceptance
 
 from bianchisurf.census import constant_C, count_F_in_progression, fit_report, xi
 from bianchisurf.classgroup import class_group, is_admissible

@@ -1,13 +1,16 @@
 """Census scan, counting lemma, and constant chain."""
 
+import math
 from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
 import pytest
 
+from bianchisurf import census
 from bianchisurf.census import (
     _MERTENS,
+    _RATIO_CACHE,
     _dyadic_D_cap,
     _dyadic_envelope_start,
     _uniform_bound_coeff,
@@ -24,8 +27,8 @@ from bianchisurf.census import (
 )
 from bianchisurf.hermitian import SurfaceIndex
 from bianchisurf.ntkernel import factorize
-from bianchisurf.verify import _brute_count_F, pairs_under
-from bianchisurf.volume import area_closed_form
+from bianchisurf.verify import _brute_count_F, _brute_xi, pairs_under
+from bianchisurf.volume import area_closed_form, compare_to_threshold
 
 
 def test_F_values():
@@ -163,6 +166,45 @@ def test_surface_counts_match_individual_xi():
     assert surface_counts(3, thresholds) == [xi(3, x) for x in thresholds]
     with pytest.raises(ValueError):
         surface_counts(3, [Fraction(1), Fraction(0)])
+
+
+@pytest.mark.parametrize("d", [3, 15])
+def test_thresholds_inside_guard_band(d):
+    # decimal roundings of real areas: the floats cannot decide these, so
+    # every answer rests on the exact re-decision
+    xs = []
+    for q in sorted({t.q for t in enumerate_surfaces(d, 30)}):
+        area = float(q) * math.pi
+        for spec in (".11e", ".16e"):
+            x = Fraction(format(area, spec))
+            assert abs(area - float(x)) <= 1e-9 * float(x) + 1e-12
+            xs.append(x)
+    counts = [xi(d, x) for x in xs]
+    assert counts == [_brute_xi(d, x) for x in xs]
+    assert surface_counts(d, xs) == counts
+    assert surface_counts(d, xs, jobs=2) == counts
+    for x, n in zip(xs, counts):
+        records = enumerate_surfaces(d, x)
+        assert len(records) == n
+        assert all(compare_to_threshold(t.area(), x) < 0 for t in records)
+        assert enumerate_surfaces(d, x, jobs=2) == records
+
+
+def test_weight_cache_keeps_one_field():
+    xi(3, 20)
+    xi(7, 20)
+    assert list(_RATIO_CACHE) == [7]
+    n = len(_RATIO_CACHE[7])
+    assert weight_ratio_array(7, n) is weight_ratio_array(7, n)
+
+
+def test_one_weight_array_build_per_request(monkeypatch):
+    sieved = []
+    prime_blocks = census.prime_blocks
+    monkeypatch.setattr(census, "prime_blocks", lambda cap: sieved.append(cap) or prime_blocks(cap))
+    _RATIO_CACHE.clear()
+    xi(15, Fraction("99.5"))
+    assert len(sieved) == 1
 
 
 def test_xi_monotone():

@@ -16,6 +16,7 @@ from bianchisurf.quatorder import (
     QuaternionAlgebra,
     QuaternionOrder,
     _local_value_sets,
+    _quadratic_forms,
     build_order,
     closure_defect,
     eichler_symbol_bruteforce,
@@ -158,7 +159,7 @@ def test_value_sets_match_full_grid():
             order = build_order(pullback_circle(SurfaceIndex(d, m, c, 1)))
             for p, _ in factorize(reduced_discriminant(order)).factors:
                 if p <= 13:
-                    assert _local_value_sets(order, p) == naive_value_sets(order, p), (d, m, c, p)
+                    assert _local_value_sets(_quadratic_forms(order), p) == naive_value_sets(order, p), (d, m, c, p)
                     checked.add(p)
     assert checked == {2, 3, 5, 7, 11, 13}
 
