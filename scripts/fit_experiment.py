@@ -20,7 +20,6 @@ from bianchisurf.census import fit_report
 class RunConfig:
     d: int
     points: list[Fraction]
-    jobs: int | None
     prime_limit: int
 
 
@@ -32,17 +31,16 @@ def parse_args(argv=None) -> RunConfig:
         default="1000,10000,100000",
         help="comma-separated ascending thresholds",
     )
-    ap.add_argument("--jobs", type=int, default=None, help="workers (default: cores)")
     ap.add_argument("--prime-limit", type=int, default=10_000_000)
     ns = ap.parse_args(argv)
     points = [Fraction(p) for p in ns.points.split(",")]
-    return RunConfig(ns.d, points, ns.jobs, ns.prime_limit)
+    return RunConfig(ns.d, points, ns.prime_limit)
 
 
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     t0 = time.time()
-    rows = fit_report(cfg.d, cfg.points, jobs=cfg.jobs, prime_limit=cfg.prime_limit)
+    rows = fit_report(cfg.d, cfg.points, prime_limit=cfg.prime_limit)
     elapsed = time.time() - t0
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["X", "xi", "ratio", "l_main", "rel_deviation"])
@@ -51,8 +49,7 @@ def main(argv=None) -> int:
             [str(row.X), row.xi, repr(row.ratio), repr(row.leading), repr(row.rel_deviation)]
         )
     print(
-        f"# d={cfg.d} prime_limit={cfg.prime_limit} jobs={cfg.jobs or 'auto'} "
-        f"elapsed={elapsed:.1f}s",
+        f"# d={cfg.d} prime_limit={cfg.prime_limit} elapsed={elapsed:.1f}s",
         file=sys.stderr,
     )
     return 0

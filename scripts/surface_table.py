@@ -17,10 +17,9 @@ def main(argv=None) -> int:
     ap.add_argument("d", type=int)
     ap.add_argument("X", help="area threshold, decimal string")
     ap.add_argument("--format", choices=("csv", "md"), default="csv")
-    ap.add_argument("--jobs", type=int, default=1)
     ns = ap.parse_args(argv)
 
-    records = enumerate_surfaces(ns.d, ns.X, jobs=ns.jobs)
+    records = enumerate_surfaces(ns.d, ns.X)
     header = ["m", "c", "r", "d0", "D", "area/pi", "area"]
     rows = [
         [t.m, t.c, t.r, t.d0, t.D, f"{t.q.numerator}/{t.q.denominator}", t.area().decimal(12)]

@@ -9,7 +9,8 @@ primes, which rises dyadically.  Every threshold decision, here and in the
 counting lemma, goes through one exact decider: floats decide outside a
 guard band, and anything inside it is re-decided with rationals (and
 interval pi for areas).  The weight array behind the pricing is cached for
-one field at a time.
+one field at a time.  Everything runs in the calling process: the public
+functions accept a `jobs` keyword and ignore it.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -18,12 +19,9 @@ stream, with explicit tail certificates (Rosser's p_n > n log n).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -86,15 +84,28 @@ def _dyadic_envelope_start(threshold: Fraction) -> int:
 _RATIO_CACHE: dict[int, np.ndarray] = {}
 
 
+try:
+    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # no sysconf figure: no check
+    _PHYSICAL_MEMORY = math.inf
+
+
 def weight_ratio_array(d: int, cap: int) -> np.ndarray:
     """R[n] = prod_{p | n, p not | d} (1 + chi(p)/p) for n < cap, float64.
 
     Built by one multiplicative pass over primes.  The cache keeps one
-    field, the most recently built, and grows it monotonically.
+    field, the most recently built, and grows it monotonically.  Raises
+    ValueError, before allocating, if the array would not fit in physical
+    memory.
     """
     cached = _RATIO_CACHE.get(d)
     if cached is not None and len(cached) >= cap:
         return cached
+    if 8 * cap > _PHYSICAL_MEMORY:
+        raise ValueError(
+            f"census needs a {8 * cap / 2**30:.1f} GiB weight array, "
+            f"more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
+        )
     chi = character(d)
     table = chi.residue_table()
     R = np.ones(cap, dtype=np.float64)
@@ -232,25 +243,14 @@ def _scan_m(d: int, m: int, xs: list[Fraction], bound_factor: int) -> list[np.nd
     return [np.concatenate(out) for out in kept]
 
 
-def _scan_all(d: int, xs: list[Fraction], bound_factor: int, jobs: int | None) -> list[list[np.ndarray]]:
-    """_scan_m over every residue m in ascending order, optionally across
-    processes.
+def _scan_all(d: int, xs: list[Fraction], bound_factor: int) -> list[list[np.ndarray]]:
+    """_scan_m over every residue m in ascending order.
 
     The weight array is built once, at the cap for d0 = d, which minimizes
-    the envelope coefficient and so dominates every m.  Workers are forked,
-    whatever the platform's default start method, after that build, so they
-    share the big read-only array."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    the envelope coefficient and so dominates every m."""
     cap = _dyadic_D_cap(_uniform_bound_coeff(d, d), max(xs) * bound_factor)
     weight_ratio_array(d, max(cap, 2))
-    args = (repeat(d), range(d), repeat(xs), repeat(bound_factor))
-    if jobs > 1 and hasattr(os, "fork"):
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, d), mp_context=multiprocessing.get_context("fork")
-        ) as ex:
-            return list(ex.map(_scan_m, *args))
-    return list(map(_scan_m, *args))
+    return [_scan_m(d, m, xs, bound_factor) for m in range(d)]
 
 
 def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -> list[SurfaceRecord]:
@@ -258,14 +258,15 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
     (q, m, c, r); every (m, c) appears once per divisor class r.
 
     Intended for record listings at moderate thresholds: each survivor gets
-    an exact rational area.  Use xi or surface_counts for large scans."""
+    an exact rational area.  Use xi or surface_counts for large scans.
+    jobs is accepted and ignored."""
     _require_admissible(d)
     X = Fraction(X)
     if X <= 0:
         return []
     rs = divisors_below_sqrt(d)
     records = []
-    for m, (cs,) in enumerate(_scan_all(d, [X], bound_factor, jobs)):
+    for m, (cs,) in enumerate(_scan_all(d, [X], bound_factor)):
         for c in cs.tolist():
             d0, D = d0_and_D(d, m, c)
             q = _exact_q(d, m, c)
@@ -276,22 +277,23 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
 
 def xi(d: int, X, jobs: int | None = 1) -> int:
     """Number of surfaces with area below X: per-(m, c) count times the
-    number of divisor classes."""
+    number of divisor classes.  jobs is accepted and ignored."""
     X = Fraction(X)
     if X <= 0:
         _require_admissible(d)
         return 0
-    return surface_counts(d, [X], jobs=jobs)[0]
+    return surface_counts(d, [X])[0]
 
 
 def surface_counts(d: int, thresholds: list, jobs: int | None = 1) -> list[int]:
-    """xi at several thresholds from one scan at the largest of them."""
+    """xi at several thresholds from one scan at the largest of them.
+    jobs is accepted and ignored."""
     _require_admissible(d)
     xs = [Fraction(x) for x in thresholds]
     if any(x <= 0 for x in xs):
         raise ValueError("thresholds must be positive")
     mult = len(divisors_below_sqrt(d))
-    per_m = _scan_all(d, xs, bound_factor=1, jobs=jobs)
+    per_m = _scan_all(d, xs, bound_factor=1)
     return [mult * sum(map(len, kept)) for kept in zip(*per_m)]
 
 
@@ -305,11 +307,12 @@ class FitRow:
 
 
 def fit_report(d: int, thresholds: list, jobs: int | None = 1, prime_limit: int = 10_000_000) -> list[FitRow]:
-    """Empirical slope check: xi(X)/X against the leading constant."""
+    """Empirical slope check: xi(X)/X against the leading constant.  jobs is
+    accepted and ignored."""
     xs = [Fraction(x) for x in thresholds]
     if xs != sorted(xs):
         raise ValueError("thresholds must be ascending")
-    counts = surface_counts(d, xs, jobs=jobs)
+    counts = surface_counts(d, xs)
     L = leading_constant(d, prime_limit=prime_limit).l_main
     rows = []
     for x, n in zip(xs, counts):
@@ -343,30 +346,32 @@ class ConstantReport:
     chain_gap: float
 
 
-_SUMS_CACHE: dict = {}
+_SUMS_CACHE: dict[tuple[int, int], tuple[float, float, int]] = {}
 
 
-def _euler_log_sums(ds: tuple[int, ...], limit: int):
-    """One pass over all primes below limit, accumulating per-d log-sums of
-    the main-product factor and the C factor; returns ({d: (main, c)}, N)."""
-    key = (ds, limit)
-    if key in _SUMS_CACHE:
-        return _SUMS_CACHE[key]
-    tables = {d: character(d).residue_table() for d in ds}
-    sums = {d: [0.0, 0.0] for d in ds}
-    nprimes = 0
-    for block in prime_blocks(limit):
-        nprimes += len(block)
-        pf = block.astype(np.float64)
-        for d in ds:
-            ch = tables[d][block % d].astype(np.float64)
-            x_main = ((1.0 / pf) - ch * ch - ch) / (pf * pf)
-            x_c = -ch / (pf * (pf + ch))
-            sums[d][0] += float(np.sum(np.log1p(x_main)))
-            sums[d][1] += float(np.sum(np.log1p(x_c)))
-    result = ({d: tuple(v) for d, v in sums.items()}, nprimes)
-    _SUMS_CACHE[key] = result
-    return result
+def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
+    """Per-d log-sums of the main-product factor and the C factor over the
+    primes below limit, with the number of primes: {d: (main, c, N)}.
+
+    Cached per (d, limit); the d not yet cached for this limit share one
+    pass over the primes."""
+    missing = [d for d in dict.fromkeys(ds) if (d, limit) not in _SUMS_CACHE]
+    if missing:
+        tables = {d: character(d).residue_table() for d in missing}
+        sums = {d: [0.0, 0.0] for d in missing}
+        nprimes = 0
+        for block in prime_blocks(limit):
+            nprimes += len(block)
+            pf = block.astype(np.float64)
+            for d in missing:
+                ch = tables[d][block % d].astype(np.float64)
+                x_main = ((1.0 / pf) - ch * ch - ch) / (pf * pf)
+                x_c = -ch / (pf * (pf + ch))
+                sums[d][0] += float(np.sum(np.log1p(x_main)))
+                sums[d][1] += float(np.sum(np.log1p(x_c)))
+        for d in missing:
+            _SUMS_CACHE[d, limit] = (*sums[d], nprimes)
+    return {d: _SUMS_CACHE[d, limit] for d in ds}
 
 
 def _prime_square_tail(nprimes: int) -> float:
@@ -385,8 +390,8 @@ def constant_C(d: int, digits: int = 12, prime_limit: int | None = None) -> Cons
     """
     if prime_limit is None:
         prime_limit = min(2 * 10**digits + 1, DEFAULT_PRIME_LIMIT)
-    sums, nprimes = _euler_log_sums((d,), prime_limit)
-    value = math.exp(sums[d][1])
+    _, s_c, nprimes = _euler_log_sums((d,), prime_limit)[d]
+    value = math.exp(s_c)
     tail = 2.0 / (prime_limit - 1)
     certified = max(0, int(-math.log10(tail)))
     return ConstantValue(d, value, prime_limit, nprimes, tail, certified)
@@ -396,7 +401,7 @@ def _tau(d: int) -> int:
     return divisor_stats(d)[0]
 
 
-def leading_constant(d: int, prime_limit: int | None = None, _sums=None) -> ConstantReport:
+def leading_constant(d: int, prime_limit: int | None = None) -> ConstantReport:
     """Both Euler-product forms of the linear coefficient of xi(X).
 
     l_main: prefactor tau(d) pi/4 (5 pi/12 for d = 4) times the full-product
@@ -409,11 +414,7 @@ def leading_constant(d: int, prime_limit: int | None = None, _sums=None) -> Cons
         raise ValueError(f"d = {d} is not admissible: {res.reason}")
     if prime_limit is None:
         prime_limit = DEFAULT_PRIME_LIMIT
-    if _sums is None:
-        sums, nprimes = _euler_log_sums((d,), prime_limit)
-    else:
-        sums, nprimes = _sums
-    s_main, s_c = sums[d]
+    s_main, s_c, nprimes = _euler_log_sums((d,), prime_limit)[d]
     tail2 = _prime_square_tail(nprimes)
     if d == 4:
         pref_main = 5 * math.pi / 12
@@ -448,10 +449,8 @@ def leading_constants_bundle(ds: tuple[int, ...], prime_limit: int | None = None
     """leading_constant for several d sharing a single prime pass."""
     if prime_limit is None:
         prime_limit = DEFAULT_PRIME_LIMIT
-    sums, nprimes = _euler_log_sums(tuple(ds), prime_limit)
-    return {
-        d: leading_constant(d, prime_limit, _sums=({d: sums[d]}, nprimes)) for d in ds
-    }
+    _euler_log_sums(ds, prime_limit)
+    return {d: leading_constant(d, prime_limit) for d in ds}
 
 
 def _euler_phi(a: int) -> int:

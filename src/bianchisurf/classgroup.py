@@ -5,22 +5,15 @@ b^2 - 4ac = -d.  Reduction, Gauss composition, and the elementary-divisor
 decomposition of the class group live here.  The admissibility gate for the
 rest of the package (square-free d = 3 mod 4, plus the special case d = 4)
 also lives here because its output is phrased in terms of the class number.
+Every class group is computed on request; nothing is stored on disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .ntkernel import factorize, is_squarefree
-
-try:
-    import fcntl
-except ImportError:  # no advisory file locks on this platform
-    fcntl = None
 
 
 @dataclass(frozen=True, order=True)
@@ -199,9 +192,6 @@ def class_group(d: int) -> ClassGroupStructure:
     Elementary divisors are returned in increasing order, each dividing the
     next, each > 1, with product equal to the class number.
     """
-    cached = _cache_get(d)
-    if cached is not None:
-        return cached
     forms = reduced_forms(d)
     h = len(forms)
     ident = principal_form(d).reduced()
@@ -225,69 +215,7 @@ def class_group(d: int) -> ClassGroupStructure:
     for v in result.elementary_divisors:
         check *= v
     assert check == result.order, (d, result)
-    _cache_put(result)
     return result
-
-
-def _cache_path() -> str | None:
-    root = os.environ.get("BIANCHISURF_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "classgroups.json")
-
-
-def _cache_load(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-
-
-def _cache_get(d: int) -> ClassGroupStructure | None:
-    path = _cache_path()
-    if path is None:
-        return None
-    rec = _cache_load(path).get(str(d))
-    if rec is None:
-        return None
-    return ClassGroupStructure(d, rec["order"], tuple(rec["divisors"]))
-
-
-@contextmanager
-def _cache_lock(path: str):
-    """Exclusive lock serializing the cache's read-modify-write cycles;
-    without fcntl the writes stay atomic but a concurrent entry may be lost."""
-    if fcntl is None:
-        yield
-        return
-    with open(path + ".lock", "a") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
-
-
-def _cache_put(res: ClassGroupStructure) -> None:
-    """Merge one entry into the cache file, replacing it atomically so a
-    concurrent reader sees either the old or the new complete file."""
-    path = _cache_path()
-    if path is None:
-        return
-    with _cache_lock(path):
-        data = _cache_load(path)
-        data[str(res.d)] = {"order": res.order, "divisors": list(res.elementary_divisors)}
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def _cmd_area(args) -> int:
 def _cmd_census(args) -> int:
     X = _parse_threshold(args.X)
     if args.format == "csv" or args.records:
-        records = enumerate_surfaces(args.d, X, jobs=args.jobs)
+        records = enumerate_surfaces(args.d, X)
         rows = _records_as_dicts(records)
         if args.format == "csv":
             _emit_csv(rows, sys.stdout)
@@ -100,7 +100,7 @@ def _cmd_census(args) -> int:
             payload = {"d": args.d, "X": args.X, "xi": len(rows), "records": rows}
             print(json.dumps(payload, indent=2))
     else:
-        payload = {"d": args.d, "X": args.X, "xi": xi(args.d, X, jobs=args.jobs)}
+        payload = {"d": args.d, "X": args.X, "xi": xi(args.d, X)}
         print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -127,7 +127,7 @@ def _cmd_constant(args) -> int:
 
 def _cmd_fit(args) -> int:
     points = [_parse_threshold(p) for p in args.points.split(",")]
-    rows = fit_report(args.d, points, jobs=args.jobs)
+    rows = fit_report(args.d, points)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["X", "xi", "ratio", "l_main", "rel_deviation"])
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("X", help="area threshold, decimal string, handled exactly")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--records", action="store_true", help="materialize per-r records")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("constant", help="the counting constant C with tail certificate")
@@ -200,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="xi(X)/X against the predicted constant")
     p.add_argument("d", type=int)
     p.add_argument("--points", required=True, help="comma-separated ascending thresholds")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(fn=_cmd_fit)
 
     p = sub.add_parser("lemma-count", help="#{n = r mod a : F(n) < X}")

@@ -40,13 +40,6 @@ PRIMES: tuple[int, ...] = tuple(int(p) for p in np.nonzero(_prime_mask)[0])
 del _prime_mask
 
 
-def smallest_factor_table(limit: int) -> np.ndarray:
-    """Read-only smallest-prime-factor array covering [0, limit)."""
-    if limit <= _SIEVE_LIMIT:
-        return _SPF[:limit]
-    return _smallest_factor_table(limit)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 1e12."""
     if n < 2:

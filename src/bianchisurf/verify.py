@@ -168,14 +168,6 @@ def sweep(ds=SWEEP_DS, D_limit=SWEEP_D_LIMIT) -> tuple[SuiteReport, SuiteReport]
     return orders, areas
 
 
-def suite_orders(ds=SWEEP_DS, D_limit=SWEEP_D_LIMIT) -> SuiteReport:
-    return sweep(ds, D_limit)[0]
-
-
-def suite_areas(ds=SWEEP_DS, D_limit=SWEEP_D_LIMIT) -> SuiteReport:
-    return sweep(ds, D_limit)[1]
-
-
 def suite_constants(ds=SWEEP_DS, prime_limit: int | None = None) -> SuiteReport:
     rep = SuiteReport("constants")
     bundle = leading_constants_bundle(tuple(ds), prime_limit)

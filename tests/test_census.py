@@ -1,6 +1,7 @@
 """Census scan, counting lemma, and constant chain."""
 
 import math
+import os
 from fractions import Fraction
 from math import gcd, prod
 
@@ -20,6 +21,7 @@ from bianchisurf.census import (
     enumerate_surfaces,
     fit_report,
     leading_constant,
+    leading_constants_bundle,
     residue_constant_check,
     surface_counts,
     weight_ratio_array,
@@ -27,7 +29,7 @@ from bianchisurf.census import (
 )
 from bianchisurf.hermitian import SurfaceIndex
 from bianchisurf.ntkernel import factorize
-from bianchisurf.verify import _brute_count_F, _brute_xi, pairs_under
+from bianchisurf.verify import SWEEP_DS, _brute_count_F, _brute_xi, pairs_under
 from bianchisurf.volume import area_closed_form, compare_to_threshold
 
 
@@ -93,6 +95,27 @@ def test_xi_spot_values():
 def test_xi_independent_of_jobs():
     X = Fraction("99.5")
     assert xi(15, X, jobs=2) == xi(15, X, jobs=1)
+
+
+def test_census_runs_in_calling_process(monkeypatch):
+    def no_fork():
+        raise OSError("the census must not fork")
+
+    xs = [Fraction(5), Fraction("99.5")]
+    counts = surface_counts(15, xs, jobs=1)
+    records = enumerate_surfaces(15, 25, jobs=1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert surface_counts(15, xs, jobs=2) == counts
+    assert enumerate_surfaces(15, 25, jobs=2) == records
+
+
+def test_infeasible_census_refused(monkeypatch):
+    # a 1 MiB machine: nothing large is ever allocated
+    monkeypatch.setattr(census, "_PHYSICAL_MEMORY", 2**20)
+    monkeypatch.setattr(census, "_RATIO_CACHE", {})
+    with pytest.raises(ValueError, match="GiB"):
+        xi(3, 10**5)
+    assert xi(3, Fraction("2.2")) == 5
 
 
 def test_xi_rejects_inadmissible_d():
@@ -222,6 +245,22 @@ def test_constant_C_regression():
     assert c.certified_digits >= 8
     quick = constant_C(3, prime_limit=10_000_000)
     assert abs(quick.value - c.value) <= quick.tail_bound * c.value
+
+
+def test_euler_log_sums_cached_per_field(monkeypatch):
+    L = 1_000_000
+    monkeypatch.setattr(census, "_SUMS_CACHE", {})
+    fresh = {d: leading_constant(d, L) for d in SWEEP_DS}
+    fresh_C = constant_C(3, prime_limit=L)
+    census._SUMS_CACHE.clear()
+    bundle = leading_constants_bundle(SWEEP_DS, L)
+    sieved = []
+    prime_blocks = census.prime_blocks
+    monkeypatch.setattr(census, "prime_blocks", lambda cap: sieved.append(cap) or prime_blocks(cap))
+    assert constant_C(3, prime_limit=L) == fresh_C
+    assert leading_constant(3, L) == fresh[3]
+    assert bundle == fresh
+    assert sieved == []
 
 
 def test_constant_C_insensitive_to_d_side_primes():

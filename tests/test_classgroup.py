@@ -1,16 +1,8 @@
-import json
-import multiprocessing
-import os
-import time
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchisurf.classgroup import (
-    ClassGroupStructure,
     QuadraticForm,
-    _cache_put,
     class_group,
     compose,
     form_power,
@@ -127,42 +119,3 @@ def test_admissibility_verdicts():
     assert not is_admissible(12).admissible  # not square-free
     assert not is_admissible(21).admissible  # 21 = 1 mod 4
     assert is_admissible(4).admissible  # constant-chain special case
-
-
-def test_class_group_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("BIANCHISURF_CACHE_DIR", str(tmp_path))
-    first = class_group(95)
-    files = list(tmp_path.glob("*.json"))
-    assert files, "expected a cache file"
-    payload = json.loads(files[0].read_text())
-    assert payload["95"]["order"] == first.order
-    again = class_group(95)
-    assert again == first
-
-
-def _put_entries(ds):
-    for d in ds:
-        _cache_put(ClassGroupStructure(d, 1, ()))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="writers are forked processes")
-def test_class_group_cache_concurrent_writers(tmp_path, monkeypatch):
-    monkeypatch.setenv("BIANCHISURF_CACHE_DIR", str(tmp_path))
-    path = tmp_path / "classgroups.json"
-    ranges = [range(k * 1_000_000 + 3, k * 1_000_000 + 403, 4) for k in (1, 2, 3)]
-    ctx = multiprocessing.get_context("fork")
-    writers = [ctx.Process(target=_put_entries, args=(ds,)) for ds in ranges]
-    for w in writers:
-        w.start()
-    reads = 0
-    deadline = time.monotonic() + 60
-    while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
-        if path.exists():
-            json.loads(path.read_text())  # never a half-written file
-            reads += 1
-    for w in writers:
-        w.join(timeout=10)
-        assert not w.is_alive() and w.exitcode == 0
-    payload = json.loads(path.read_text())
-    assert {str(d) for ds in ranges for d in ds} <= set(payload)
-    assert reads > 0

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 
+from bianchisurf import census
 from bianchisurf.census import enumerate_surfaces, xi
 from bianchisurf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
@@ -40,14 +41,14 @@ def test_check_outputs(capsys):
 
 
 def test_census_summary_json(capsys):
-    rc, out, _ = run(capsys, "census", "3", "2.2", "--jobs", "1")
+    rc, out, _ = run(capsys, "census", "3", "2.2")
     assert rc == EXIT_OK
     payload = json.loads(out)
     assert payload == {"d": 3, "X": "2.2", "xi": 5}
 
 
 def test_census_csv_round_trip(capsys):
-    rc, out, _ = run(capsys, "census", "3", "2.2", "--format", "csv", "--jobs", "1")
+    rc, out, _ = run(capsys, "census", "3", "2.2", "--format", "csv")
     assert rc == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
     records = enumerate_surfaces(3, "2.2")
@@ -64,7 +65,7 @@ def test_census_csv_round_trip(capsys):
 
 
 def test_census_records_json(capsys):
-    rc, out, _ = run(capsys, "census", "3", "2.2", "--records", "--jobs", "1")
+    rc, out, _ = run(capsys, "census", "3", "2.2", "--records")
     assert rc == EXIT_OK
     payload = json.loads(out)
     assert payload["xi"] == xi(3, "2.2") == len(payload["records"])
@@ -73,9 +74,18 @@ def test_census_records_json(capsys):
 
 
 def test_census_deterministic(capsys):
-    _, out1, _ = run(capsys, "census", "15", "9.7", "--format", "csv", "--jobs", "1")
-    _, out2, _ = run(capsys, "census", "15", "9.7", "--format", "csv", "--jobs", "1")
+    _, out1, _ = run(capsys, "census", "15", "9.7", "--format", "csv")
+    _, out2, _ = run(capsys, "census", "15", "9.7", "--format", "csv")
     assert out1 == out2
+
+
+def test_infeasible_census_exit_code(capsys, monkeypatch):
+    # a 1 MiB machine: the weight array for X = 1e5 is refused unallocated
+    monkeypatch.setattr(census, "_PHYSICAL_MEMORY", 2**20)
+    monkeypatch.setattr(census, "_RATIO_CACHE", {})
+    rc, out, err = run(capsys, "census", "3", "100000")
+    assert rc == EXIT_DOMAIN
+    assert out == "" and err.startswith("error:") and "GiB" in err
 
 
 def test_lemma_count_output(capsys):
@@ -94,7 +104,7 @@ def test_constant_output(capsys):
 
 
 def test_fit_csv_header(capsys):
-    rc, out, _ = run(capsys, "fit", "3", "--points", "20,40", "--jobs", "1")
+    rc, out, _ = run(capsys, "fit", "3", "--points", "20,40")
     assert rc == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "X,xi,ratio,l_main,rel_deviation"
