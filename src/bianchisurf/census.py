@@ -7,10 +7,10 @@ monotone envelope: the fluctuating factor prod_{p|D}(1 + chi(p)/p) is
 bounded below by the Mertens-style product over the first floor(log2 D)
 primes, which rises dyadically.  Every threshold decision, here and in the
 counting lemma, goes through one exact decider: floats decide outside a
-guard band, and anything inside it is re-decided with rationals (and
-interval pi for areas).  The weight array behind the pricing is cached for
-one field at a time.  Everything runs in the calling process: the public
-functions accept a `jobs` keyword and ignore it.
+guard band, and anything inside it is re-decided with rationals (and a
+rational pi bracket for areas).  The weight array behind the pricing is
+cached for one field at a time.  Everything runs in the calling process:
+the public functions accept a `jobs` keyword and ignore it.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -29,12 +29,9 @@ import numpy as np
 from .classgroup import is_admissible
 from .hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
 from .ntkernel import PRIMES, character, divisor_stats, factorize, prime_blocks
-from .volume import ExactArea, area_closed_form, compare_to_threshold
+from .volume import PI_DIGITS, ExactArea, area_closed_form, compare_to_threshold, pi_bracket
 
 DEFAULT_PRIME_LIMIT = 300_000_000
-
-# rational lower bound on pi, used only inside certified stop rules
-_PI_LO = Fraction(314159265358979, 10**14)
 
 
 def _require_admissible(d: int) -> None:
@@ -185,7 +182,8 @@ def _uniform_bound_coeff(d: int, d0: int) -> Fraction:
 def _dyadic_D_cap(coeff: Fraction, threshold: Fraction) -> int:
     """Smallest power of two M with coeff * pi * M * B_{log2 M} > threshold:
     no surface with D >= M fits under the threshold."""
-    base = coeff * _PI_LO
+    pi_lo, _, scale = pi_bracket(PI_DIGITS)
+    base = coeff * Fraction(pi_lo, scale)
     for k in range(len(_MERTENS) - 1):
         if base * (1 << k) * _MERTENS[k] > threshold:
             return 1 << k
@@ -388,6 +386,8 @@ def constant_C(d: int, digits: int = 12, prime_limit: int | None = None) -> Cons
     The truncation prime grows with the digit request up to the default
     cap; the certificate reports what the tail bound actually supports.
     """
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     if prime_limit is None:
         prime_limit = min(2 * 10**digits + 1, DEFAULT_PRIME_LIMIT)
     _, s_c, nprimes = _euler_log_sums((d,), prime_limit)[d]

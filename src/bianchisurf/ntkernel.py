@@ -225,11 +225,10 @@ def prime_blocks(limit: int, block: int = 1 << 24) -> Iterator[np.ndarray]:
     base_odd = [int(p) for p in np.nonzero(small)[0] if p > 2]
 
     first_block = True
-    for lo in range(3, limit, block):
+    # at least one pass, so that limit = 3 still yields the 2
+    for lo in range(3, max(limit, 4), block):
         hi = min(lo + block, limit)
         first = lo if lo % 2 else lo + 1
-        if first >= hi:
-            continue
         seg = np.ones((hi - first + 1) // 2, dtype=bool)
         for p in base_odd:
             start = max(p * p, ((first + p - 1) // p) * p)

@@ -40,7 +40,7 @@ from .quatorder import (
     nrd_index_bruteforce,
     reduced_discriminant,
 )
-from .volume import ExactArea, area_closed_form, area_via_order, compare_to_threshold
+from .volume import area_closed_form, area_via_order, compare_to_threshold
 
 SWEEP_DS = (3, 7, 11, 15, 19, 23)
 SWEEP_D_LIMIT = 200
@@ -206,8 +206,7 @@ def _brute_xi(d: int, X: Fraction, bound_factor: int = 4) -> int:
             D = (m * m * d - c * d * d) // (g * g)
             if D >= cap:
                 break
-            area = ExactArea(area_closed_form(SurfaceIndex(d, m, c, 1)).q)
-            if compare_to_threshold(area, X) < 0:
+            if compare_to_threshold(area_closed_form(SurfaceIndex(d, m, c, 1)), X) < 0:
                 total += 1
             c -= 1
     return total * len(divisors_below_sqrt(d))

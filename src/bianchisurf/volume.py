@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from functools import lru_cache
 
 from .hermitian import SurfaceIndex, pullback_circle, surface_invariants
 from .ntkernel import character, factorize, legendre
@@ -22,6 +21,8 @@ from .quatorder import (
     nrd_index_bruteforce,
     reduced_discriminant,
 )
+
+PI_DIGITS = 60  # of the first pi bracket; a straddling one doubles them
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,15 @@ class ExactArea:
             raise ValueError(f"area multiplier must be positive, got {self.q}")
 
     def decimal(self, places: int = 15) -> str:
-        """The area rounded to a fixed number of decimal places."""
-        with mpmath.workdps(places + 25):
-            val = mpmath.mpf(self.q.numerator) / self.q.denominator * mpmath.pi
-            scaled = int(mpmath.nint(val * 10**places))
-        digits = str(scaled).zfill(places + 1)
+        """The area rounded to a fixed number of decimal places.  Rounding
+        q * pi_lo * 10^places cannot overshoot, as pi_lo < pi; k is raised
+        until compare_to_threshold puts the area below (k + 1/2)/10^places."""
+        scale = 10**places
+        lo, _, pi_scale = pi_bracket(PI_DIGITS + places)
+        k = round(self.q * scale * Fraction(lo, pi_scale))
+        while compare_to_threshold(self, Fraction(2 * k + 1, 2 * scale)) > 0:
+            k += 1
+        digits = str(k).zfill(places + 1)
         return digits[:-places] + "." + digits[-places:]
 
 
@@ -77,30 +82,37 @@ def area_via_order(idx: SurfaceIndex) -> ExactArea:
     return ExactArea(q)
 
 
+@lru_cache(maxsize=16)
+def pi_bracket(digits: int) -> tuple[int, int, int]:
+    """(lo, hi, scale) with lo / scale < pi < hi / scale, scale = 10^digits and
+    hi - lo about 25 * digits, from Machin's 16 arctan(1/5) - 4 arctan(1/239)
+    in integers.  The only source of pi in every exact decision."""
+    scale = 10**digits
+    mid = err = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        # each term floor(scale / ((2k+1) x^(2k+1))) is off by less than 1;
+        # the first term below 1 ends the sum and bounds its remainder
+        k, power = 0, scale // x
+        while power:
+            mid += (-1) ** k * weight * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        err += abs(weight) * (k + 1)
+    return mid - err, mid + err, scale
+
+
 def compare_to_threshold(area: ExactArea, threshold: str | Fraction) -> int:
-    """Sign of q*pi - threshold (+1 or -1), decided with interval bounds on
-    pi widened until the interval misses the threshold.  Never 0: a rational
-    threshold cannot equal an irrational area."""
+    """Sign of q*pi - threshold (+1 or -1) by integer cross-multiplication
+    with pi_bracket, its digits doubled from PI_DIGITS while it straddles.
+    Never 0: a rational threshold cannot equal an irrational area."""
     x = Fraction(threshold)
     if x <= 0:
         return 1
-    q = area.q
-    dps = 30
-    while True:
-        with mpmath.workdps(dps):
-            pi_lo = mpmath.mpf(mpmath.pi) * (1 - mpmath.mpf(10) ** (3 - dps))
-            pi_hi = mpmath.mpf(mpmath.pi) * (1 + mpmath.mpf(10) ** (3 - dps))
-        lo = Fraction(q.numerator, q.denominator) * _to_fraction(pi_lo)
-        hi = Fraction(q.numerator, q.denominator) * _to_fraction(pi_hi)
-        if lo > x:
+    v, u = area.q.numerator * x.denominator, x.numerator * area.q.denominator
+    for doublings in range(8):
+        lo, hi, scale = pi_bracket(PI_DIGITS << doublings)
+        if v * lo > u * scale:
             return 1
-        if hi < x:
+        if v * hi < u * scale:
             return -1
-        dps *= 2
-        if dps > 10_000:
-            raise RuntimeError("threshold comparison failed to converge")
-
-
-def _to_fraction(v: "mpmath.mpf") -> Fraction:
-    num, den = mpmath.libmp.to_rational(v._mpf_)
-    return Fraction(num, den)
+    raise RuntimeError("threshold comparison failed to converge")

@@ -103,6 +103,14 @@ def test_constant_output(capsys):
     assert float(payload["C"]) > 1.5
 
 
+def test_constant_rejects_digits_below_one(capsys):
+    for digits in ("0", "-3"):
+        rc, out, err = run(capsys, "constant", "3", "--digits", digits)
+        assert rc == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_fit_csv_header(capsys):
     rc, out, _ = run(capsys, "fit", "3", "--points", "20,40")
     assert rc == EXIT_OK

@@ -66,6 +66,13 @@ def test_prime_blocks_agree_with_table():
     assert got.tolist() == want
 
 
+def test_prime_blocks_small_limits():
+    for limit in range(61):
+        naive = [n for n in range(2, limit) if all(n % k for k in range(2, n))]
+        for block in (2, 7, 1 << 24):
+            assert [int(p) for b in prime_blocks(limit, block) for p in b] == naive
+
+
 def test_legendre_basics():
     assert legendre(2, 3) == -1
     assert legendre(1, 7) == 1
