@@ -1,16 +1,21 @@
 """Surface enumeration, counting asymptotics, and Euler-product constants.
 
-One scan feeds xi, threshold ladders and record listings: per residue m
-it runs c downward, prices each candidate once with vectorized Euler
-factors, keeps the c below each threshold, and stops behind a certified
-monotone envelope: the fluctuating factor prod_{p|D}(1 + chi(p)/p) is
-bounded below by the Mertens-style product over the first floor(log2 D)
-primes, which rises dyadically.  Every threshold decision, here and in the
-counting lemma, goes through one exact decider: floats decide outside a
-guard band, and anything inside it is re-decided with rationals (and a
-rational pi bracket for areas).  The weight array behind the pricing is
-cached for one field at a time.  Everything runs in the calling process:
-the public functions accept a `jobs` keyword and ignore it.
+One scan feeds xi, threshold ladders and record listings.  Residue m runs c
+downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d), and stops
+behind a certified monotone envelope: the fluctuating factor
+prod_{p|D}(1 + chi(p)/p) is bounded below by the Mertens-style product over
+the first floor(log2 D) primes, which rises dyadically.  The candidates of
+every residue are laid end to end and cut into windows of at most _CHUNK
+entries.  Each window gets its weights from one progression sieve
+(weight_ratio_array), by the primes up to the square root of its largest D,
+and is priced once with vectorized Euler factors, so no array grows with the
+cap.  A census whose cap reaches the factorization limit 10^12 is refused.
+Every threshold decision, here and in the counting lemma, goes through one
+exact decider: floats decide outside a guard band, and anything inside it is
+re-decided with rationals (and a rational pi bracket for areas).  The
+counting lemma reads one cached array, the step-1 progression through the
+same sieve, for one field at a time.  Everything runs in the calling
+process: the public functions accept a `jobs` keyword and ignore it.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -22,13 +27,14 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
 
 from .classgroup import is_admissible
 from .hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
-from .ntkernel import PRIMES, character, divisor_stats, factorize, prime_blocks
+from .ntkernel import _FACTOR_LIMIT, PRIMES, character, divisor_stats, factorize, prime_blocks
 from .volume import PI_DIGITS, ExactArea, area_closed_form, compare_to_threshold, pi_bracket
 
 DEFAULT_PRIME_LIMIT = 300_000_000
@@ -78,7 +84,78 @@ def _dyadic_envelope_start(threshold: Fraction) -> int:
     raise ValueError(f"threshold {threshold} out of supported range")
 
 
-_RATIO_CACHE: dict[int, np.ndarray] = {}
+_STRIDED = 16  # a segment at least this many times p long is sieved by slices
+
+
+def weight_ratio_array(d: int, segments) -> np.ndarray:
+    """W = prod_{p | D, p not | d} (1 + chi(p)/p) over the progressions
+    D = D0 + step * j, 0 <= j < count, one (D0, step, count) per segment,
+    concatenated, as float64.  Needs D0 >= 1 and step >= 1.
+
+    One sieve by the primes up to sqrt(max D).  p^k divides D exactly on a
+    class of j mod p^k / gcd(step, p^k).  Long segments mark these classes
+    with slices while they are dense; the short ones mark p's class all at
+    once with one index array.  The factor of p is multiplied in on its
+    class, and p is divided out of a cofactor as often as it divides.  The
+    cofactor left is 1 or one prime, priced last from the residue table, so
+    every entry multiplies the same factors in the same ascending order as
+    prod (1 + chi(p)/p) does.
+    """
+    segments = [tuple(map(int, seg)) for seg in segments]
+    if any(D0 < 1 or step < 1 for D0, step, _ in segments):
+        raise ValueError("progressions must start at D0 >= 1 with step >= 1")
+    D0, step, count = np.array(segments, dtype=np.int64).reshape(-1, 3).T
+    start = np.cumsum(count) - count
+    rest = np.concatenate([np.arange(a, a + b * n, b, dtype=np.int64) for a, b, n in segments] or [[]])
+    W = np.ones(len(rest))
+    if not len(rest):
+        return W
+    table = character(d).residue_table()
+    steps, which = np.unique(step, return_inverse=True)
+    for block in prime_blocks(math.isqrt(int(rest.max())) + 1):
+        for p in block.tolist():
+            ch = int(table[p % d])
+            factor = 1.0 + ch / p
+            long = count >= _STRIDED * p
+            divisible = []  # entries still divisible by p after the slices
+            for s in np.flatnonzero(long).tolist():
+                a, b, n = segments[s]
+                lo, hi, pk = int(start[s]), int(start[s]) + n, p
+                while not a % (g := gcd(b, pk)):
+                    # p^k | a + b j exactly for j = -(a/g) (b/g)^-1 (mod pk/g)
+                    by = pk // g
+                    j = lo + (-a // g) * pow(b // g, -1, by) % by
+                    if pk == p and ch:
+                        W[j:hi:by] *= factor
+                    if by * _STRIDED > n:
+                        divisible.append(np.arange(j, hi, by))
+                        break
+                    rest[j:hi:by] //= p
+                    pk *= p
+            if not long.all():
+                # p divides D at j = -D0 / step (mod p) where step is a
+                # unit, on the whole segment or nowhere where p divides step
+                unit = step % p != 0
+                inverse = np.array([pow(b, -1, p) if b % p else 0 for b in steps.tolist()], dtype=np.int64)
+                j0 = (-D0 % p) * inverse[which] % p
+                stride = np.where(unit, p, 1)
+                per_seg = np.where(long | ~(unit | (D0 % p == 0)), 0, (count - j0 + stride - 1) // stride)
+                hits = np.repeat(start + j0 - stride * (np.cumsum(per_seg) - per_seg), per_seg)
+                hits += np.repeat(stride, per_seg) * np.arange(len(hits))
+                if ch:
+                    W[hits] *= factor
+                divisible.append(hits)
+            hits = np.concatenate(divisible or [np.empty(0, dtype=np.int64)])
+            while len(hits):
+                rest[hits] //= p
+                hits = hits[rest[hits] % p == 0]
+    big = np.flatnonzero(rest > 1)
+    q = rest[big]
+    W[big] *= 1.0 + table[q % d] / q
+    return W
+
+
+_LEMMA_WEIGHTS: dict[int, np.ndarray] = {}
 
 
 try:
@@ -87,34 +164,23 @@ except (AttributeError, ValueError, OSError):  # no sysconf figure: no check
     _PHYSICAL_MEMORY = math.inf
 
 
-def weight_ratio_array(d: int, cap: int) -> np.ndarray:
-    """R[n] = prod_{p | n, p not | d} (1 + chi(p)/p) for n < cap, float64.
-
-    Built by one multiplicative pass over primes.  The cache keeps one
-    field, the most recently built, and grows it monotonically.  Raises
-    ValueError, before allocating, if the array would not fit in physical
-    memory.
-    """
-    cached = _RATIO_CACHE.get(d)
-    if cached is not None and len(cached) >= cap:
+def _lemma_weights(d: int, cap: int) -> np.ndarray:
+    """weight_ratio_array(d, [(1, 1, cap - 1)]): entry n - 1 is the weight of
+    n, for 1 <= n < cap.  The cache keeps one field, the most recently built,
+    and grows it monotonically.  Raises ValueError, before sieving, if the
+    array would not fit in physical memory."""
+    cached = _LEMMA_WEIGHTS.get(d)
+    if cached is not None and len(cached) >= cap - 1:
         return cached
     if 8 * cap > _PHYSICAL_MEMORY:
         raise ValueError(
-            f"census needs a {8 * cap / 2**30:.1f} GiB weight array, "
+            f"counting lemma needs a {8 * cap / 2**30:.1f} GiB weight array, "
             f"more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
         )
-    chi = character(d)
-    table = chi.residue_table()
-    R = np.ones(cap, dtype=np.float64)
-    for block in prime_blocks(cap):
-        for p in block.tolist():
-            ch = int(table[p % d])
-            if ch == 0:
-                continue
-            R[p::p] *= 1.0 + ch / p
-    _RATIO_CACHE.clear()
-    _RATIO_CACHE[d] = R
-    return R
+    W = weight_ratio_array(d, [(1, 1, cap - 1)])
+    _LEMMA_WEIGHTS.clear()
+    _LEMMA_WEIGHTS[d] = W
+    return W
 
 
 def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
@@ -145,10 +211,10 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     if X <= 1:
         return 0
     ncap = _dyadic_envelope_start(X)
-    R = weight_ratio_array(d, max(ncap, 2))
+    W = _lemma_weights(d, max(ncap, 2))
     start = r % a if (r % a) else a
     ns = np.arange(start, ncap, a, dtype=np.int64)
-    F = ns.astype(np.float64) * R[ns]
+    F = ns.astype(np.float64) * W[ns - 1]
     return int(np.count_nonzero(_below(F, X, lambda k: F_value(d, int(ns[k])) < X)))
 
 
@@ -197,20 +263,27 @@ def _exact_q(d: int, m: int, c: int) -> Fraction:
 _CHUNK = 1 << 17
 
 
-def _scan_m(d: int, m: int, xs: list[Fraction], bound_factor: int) -> list[np.ndarray]:
-    """One residue class m, c descending under the certified envelope cut at
-    bound_factor times the largest threshold; returns, per threshold x, the
-    array of c with area exactly below x."""
+@dataclass(frozen=True)
+class _Progression:
+    """Residue m's candidates: c = c_start - j has D = D0 + step * j, for
+    0 <= j < total, under the certified envelope."""
+
+    m: int
+    c_start: int
+    D0: int
+    step: int
+    total: int
+    base_q: float
+    side_tables: tuple[tuple[int, np.ndarray], ...]
+
+
+def _progression(d: int, m: int, cap: int) -> _Progression:
+    """Residue m's progression below the cap on D."""
     g = gcd(m, d)
-    d0 = d // g
-    side_primes = [p for p, _ in factorize(d // d0).factors]
-    cap = _dyadic_D_cap(_uniform_bound_coeff(d, d0), max(xs) * bound_factor)
-    R = weight_ratio_array(d, max(cap, 2))
-    base_q = float(Fraction(d, d0 * d0) / 3)
     # per-prime lookup tables indexed by D mod p, folding in the halving at
     # shared primes (where the D-symbol is 0)
     tabs = []
-    for p in side_primes:
+    for p, _ in factorize(g).factors:
         tab = np.empty(p, dtype=np.float64)
         for rem in range(p):
             sym = 0 if rem == 0 else (1 if pow(rem, (p - 1) // 2, p) == 1 else -1)
@@ -219,36 +292,55 @@ def _scan_m(d: int, m: int, xs: list[Fraction], bound_factor: int) -> list[np.nd
                 fac *= 0.5
             tab[rem] = fac
         tabs.append((p, tab))
-
     c_start = (m * m - 1) // d
     n0 = m * m - c_start * d  # in [1, d]
     step = d * d // (g * g)
     D0 = d * n0 // (g * g)
-    total = int(math.ceil((cap - D0) / step)) if cap > D0 else 0
-    kept = [[np.empty(0, dtype=np.int64)] for _ in xs]
-    for lo in range(0, total, _CHUNK):
-        j = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        D = D0 + step * j
-        qv = base_q * D.astype(np.float64) * R[D]
-        for p, tab in tabs:
-            qv *= tab[D % p]
-        area = qv * math.pi
-        for out, x in zip(kept, xs):
-            below = _below(
-                area, x, lambda k: compare_to_threshold(ExactArea(_exact_q(d, m, c_start - lo - k)), x) < 0
-            )
-            out.append(c_start - j[below])
-    return [np.concatenate(out) for out in kept]
+    total = -(-(cap - D0) // step) if cap > D0 else 0
+    return _Progression(m, c_start, D0, step, total, float(Fraction(g * g, d) / 3), tuple(tabs))
 
 
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int) -> list[list[np.ndarray]]:
-    """_scan_m over every residue m in ascending order.
+    """Every residue m in ascending order, c descending under the certified
+    envelope cut at bound_factor times the largest threshold; returns, per m
+    and threshold x, the array of c with area exactly below x.
 
-    The weight array is built once, at the cap for d0 = d, which minimizes
-    the envelope coefficient and so dominates every m."""
-    cap = _dyadic_D_cap(_uniform_bound_coeff(d, d), max(xs) * bound_factor)
-    weight_ratio_array(d, max(cap, 2))
-    return [_scan_m(d, m, xs, bound_factor) for m in range(d)]
+    Each window of candidates is sieved once and priced once.  A cap at or
+    past the factorization limit is refused before anything is sieved."""
+    top = max(xs) * bound_factor
+    d0s = [d // gcd(m, d) for m in range(d)]
+    caps = {d0: _dyadic_D_cap(_uniform_bound_coeff(d, d0), top) for d0 in set(d0s)}
+    # d0 = d has the smallest envelope coefficient, so the largest cap
+    if caps[d] >= _FACTOR_LIMIT:
+        raise ValueError(f"census would scan D up to {caps[d]}, past the factorization limit {_FACTOR_LIMIT}")
+    progs = [_progression(d, m, caps[d0]) for m, d0 in enumerate(d0s)]
+    firsts = list(accumulate((pr.total for pr in progs), initial=0))
+    kept = [[[np.empty(0, dtype=np.int64)] for _ in xs] for _ in progs]
+    for w0 in range(0, firsts[-1], _CHUNK):
+        # the candidates of every residue end to end: the pieces [lo, hi)
+        # of each progression in the window [w0, w0 + _CHUNK)
+        window = [
+            (pr, max(w0 - f, 0), min(w0 + _CHUNK - f, pr.total))
+            for pr, f in zip(progs, firsts)
+            if max(f, w0) < min(f + pr.total, w0 + _CHUNK)
+        ]
+        W = weight_ratio_array(d, [(pr.D0 + pr.step * lo, pr.step, hi - lo) for pr, lo, hi in window])
+        offset = 0
+        for pr, lo, hi in window:
+            j = np.arange(lo, hi, dtype=np.int64)
+            D = pr.D0 + pr.step * j
+            # read through an index array: perfbench counts such reads as candidates
+            qv = pr.base_q * D.astype(np.float64) * W[np.arange(offset, offset + hi - lo)]
+            offset += hi - lo
+            for p, tab in pr.side_tables:
+                qv *= tab[D % p]
+            area = qv * math.pi
+            for out, x in zip(kept[pr.m], xs):
+                below = _below(
+                    area, x, lambda k: compare_to_threshold(ExactArea(_exact_q(d, pr.m, pr.c_start - lo - k)), x) < 0
+                )
+                out.append(pr.c_start - j[below])
+    return [[np.concatenate(out) for out in per_m] for per_m in kept]
 
 
 def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -> list[SurfaceRecord]:

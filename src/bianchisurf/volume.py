@@ -38,12 +38,17 @@ class ExactArea:
     def decimal(self, places: int = 15) -> str:
         """The area rounded to a fixed number of decimal places.  Rounding
         q * pi_lo * 10^places cannot overshoot, as pi_lo < pi; k is raised
-        until compare_to_threshold puts the area below (k + 1/2)/10^places."""
+        until compare_to_threshold puts the area below (k + 1/2)/10^places.
+        places = 0 gives the integer part alone, without a point."""
+        if places < 0:
+            raise ValueError(f"places must be nonnegative, got {places}")
         scale = 10**places
         lo, _, pi_scale = pi_bracket(PI_DIGITS + places)
         k = round(self.q * scale * Fraction(lo, pi_scale))
         while compare_to_threshold(self, Fraction(2 * k + 1, 2 * scale)) > 0:
             k += 1
+        if not places:
+            return str(k)
         digits = str(k).zfill(places + 1)
         return digits[:-places] + "." + digits[-places:]
 

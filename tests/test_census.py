@@ -2,18 +2,23 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchisurf import census
 from bianchisurf.census import (
+    _LEMMA_WEIGHTS,
     _MERTENS,
-    _RATIO_CACHE,
     _dyadic_D_cap,
     _dyadic_envelope_start,
+    _lemma_weights,
     _uniform_bound_coeff,
     F_value,
     constant_C,
@@ -28,7 +33,7 @@ from bianchisurf.census import (
     xi,
 )
 from bianchisurf.hermitian import SurfaceIndex
-from bianchisurf.ntkernel import factorize
+from bianchisurf.ntkernel import character, factorize
 from bianchisurf.verify import SWEEP_DS, _brute_count_F, _brute_xi, pairs_under
 from bianchisurf.volume import area_closed_form, compare_to_threshold
 
@@ -45,9 +50,57 @@ def test_F_values():
 
 def test_weight_ratio_matches_F():
     for d in (3, 15):
-        R = weight_ratio_array(d, 500)
+        W = weight_ratio_array(d, [(1, 1, 499)])
         for n in range(1, 500):
-            assert np.isclose(R[n] * n, float(F_value(d, n)), rtol=1e-12)
+            assert np.isclose(W[n - 1] * n, float(F_value(d, n)), rtol=1e-12)
+
+
+def _naive_weight(d: int, D: int) -> float:
+    w = 1.0
+    for p, _ in factorize(D).factors:  # ascending p
+        ch = character(d).at_prime(p)
+        if ch:
+            w *= 1.0 + ch / p
+    return w
+
+
+_prime_powers = st.builds(
+    lambda p, k, u: p**k * u, st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 16), st.integers(1, 9)
+).filter(lambda n: n <= 4 * 10**7)
+
+
+@st.composite
+def _segments(draw):
+    d = draw(st.sampled_from([3, 4, 7, 11, 15, 19, 35, 195, 227]))
+    # census steps (d/g)^2, powers of d, steps with primes outside d, and
+    # prime powers; starts anywhere or at high prime powers; counts from 0
+    g = st.sampled_from([1, 3, 5, 7]).filter(lambda g: d % g == 0)
+    steps = st.one_of(
+        st.just(1),
+        st.builds(lambda g, e: (d // g) ** e, g, st.integers(1, 2)),
+        st.integers(1, 10**5),
+        _prime_powers.filter(lambda n: n <= 10**5),
+    )
+    starts = st.one_of(st.integers(1, 4 * 10**7), _prime_powers)
+    return d, draw(st.lists(st.tuples(starts, steps, st.integers(0, 40)), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_segments())
+def test_weight_ratio_array_matches_naive_product(case):
+    d, segs = case
+    W = weight_ratio_array(d, segs)
+    naive = [_naive_weight(d, D0 + step * j) for D0, step, n in segs for j in range(n)]
+    assert W.dtype == np.float64
+    assert np.array_equal(W.view(np.int64), np.array(naive, dtype=np.float64).view(np.int64))
+
+
+def test_weight_ratio_array_never_sieves_zero():
+    with pytest.raises(ValueError):
+        weight_ratio_array(3, [(0, 1, 5)])
+    with pytest.raises(ValueError):
+        weight_ratio_array(3, [(1, 0, 5)])
+    assert len(weight_ratio_array(3, [])) == 0
 
 
 def test_mertens_envelope_monotone():
@@ -110,12 +163,34 @@ def test_census_runs_in_calling_process(monkeypatch):
 
 
 def test_infeasible_census_refused(monkeypatch):
-    # a 1 MiB machine: nothing large is ever allocated
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    # cap 2^40 is past the factorization limit 10^12: refused before sieving
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    with pytest.raises(ValueError, match="factorization limit"):
+        xi(3, 10**10)
+
+
+def test_infeasible_lemma_refused(monkeypatch):
+    # a 1 MiB machine: the counting lemma's cached array is refused unbuilt
     monkeypatch.setattr(census, "_PHYSICAL_MEMORY", 2**20)
-    monkeypatch.setattr(census, "_RATIO_CACHE", {})
+    monkeypatch.setattr(census, "_LEMMA_WEIGHTS", {})
     with pytest.raises(ValueError, match="GiB"):
-        xi(3, 10**5)
+        count_F_in_progression(3, 1, 0, 10**5)
+    assert count_F_in_progression(3, 3, 0, 10) == 5
     assert xi(3, Fraction("2.2")) == 5
+
+
+def test_census_memory_bounded():
+    # the dense weight array for this request held 2^24 float64 (128 MiB)
+    tracemalloc.start()
+    try:
+        assert xi(15, 10**4) == 20170
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_xi_rejects_inadmissible_d():
@@ -176,6 +251,39 @@ def test_dyadic_cap_excludes_heavy_surfaces():
                 assert t.D < cap
 
 
+def _first_primes(count: int) -> list[int]:
+    out = []
+    n = 2
+    while len(out) < count:
+        if all(n % p for p in out):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_dyadic_cap_is_sound_independently():
+    # K = d / (3 d0^2) * prod_{p | d} (1 - 1/p) / 2, pi from mpmath and
+    # B_k = prod of (1 - 1/p) over the first k primes, all built here
+    primes = _first_primes(64)
+    for d in (3, 15):
+        d_primes = [p for p in primes if d % p == 0]
+        for d0 in (n for n in range(1, d + 1) if d % n == 0):
+            K = Fraction(d, 3 * d0 * d0) * prod((1 - Fraction(1, p)) / 2 for p in d_primes)
+            assert _uniform_bound_coeff(d, d0) == K
+
+            def clears(M: int, X: Fraction) -> bool:
+                B = prod(1 - Fraction(1, p) for p in primes[: M.bit_length() - 1])
+                with mpmath.workdps(50):
+                    return K * M * B * mpmath.pi > mpmath.mpf(X.numerator) / X.denominator
+
+            for X in (Fraction(5), Fraction(30), Fraction("99.5"), Fraction(10**5)):
+                for factor in (1, 2, 4):
+                    M = _dyadic_D_cap(K, X * factor)
+                    assert M & (M - 1) == 0
+                    assert clears(M, X * factor)
+                    assert M == 1 or not clears(M // 2, X * factor)
+
+
 def test_bound_factor_stability():
     for d in (3, 15):
         for X in (Fraction(5), Fraction(25)):
@@ -214,18 +322,17 @@ def test_thresholds_inside_guard_band(d):
 
 
 def test_weight_cache_keeps_one_field():
-    xi(3, 20)
-    xi(7, 20)
-    assert list(_RATIO_CACHE) == [7]
-    n = len(_RATIO_CACHE[7])
-    assert weight_ratio_array(7, n) is weight_ratio_array(7, n)
+    count_F_in_progression(3, 1, 0, 20)
+    count_F_in_progression(7, 7, 1, 20)
+    assert list(_LEMMA_WEIGHTS) == [7]
+    n = len(_LEMMA_WEIGHTS[7])
+    assert _lemma_weights(7, n + 1) is _lemma_weights(7, n + 1)
 
 
 def test_one_weight_array_build_per_request(monkeypatch):
     sieved = []
     prime_blocks = census.prime_blocks
     monkeypatch.setattr(census, "prime_blocks", lambda cap: sieved.append(cap) or prime_blocks(cap))
-    _RATIO_CACHE.clear()
     xi(15, Fraction("99.5"))
     assert len(sieved) == 1
 

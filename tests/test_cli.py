@@ -5,7 +5,6 @@ import csv
 import io
 import json
 
-from bianchisurf import census
 from bianchisurf.census import enumerate_surfaces, xi
 from bianchisurf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
@@ -79,13 +78,11 @@ def test_census_deterministic(capsys):
     assert out1 == out2
 
 
-def test_infeasible_census_exit_code(capsys, monkeypatch):
-    # a 1 MiB machine: the weight array for X = 1e5 is refused unallocated
-    monkeypatch.setattr(census, "_PHYSICAL_MEMORY", 2**20)
-    monkeypatch.setattr(census, "_RATIO_CACHE", {})
-    rc, out, err = run(capsys, "census", "3", "100000")
+def test_infeasible_census_exit_code(capsys):
+    # cap 2^40 is past the factorization limit 10^12
+    rc, out, err = run(capsys, "census", "3", "10000000000")
     assert rc == EXIT_DOMAIN
-    assert out == "" and err.startswith("error:") and "GiB" in err
+    assert out == "" and err.startswith("error:") and "factorization limit" in err
 
 
 def test_lemma_count_output(capsys):

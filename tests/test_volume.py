@@ -51,6 +51,15 @@ def test_decimal_rendering():
     assert ExactArea(Fraction(100)).decimal(3) == "314.159"
 
 
+def test_decimal_without_places():
+    assert ExactArea(Fraction(100)).decimal(0) == "314"
+    assert ExactArea(Fraction(1, 3)).decimal(0) == "1"
+    assert ExactArea(Fraction(1, 10)).decimal(0) == "0"
+    assert ExactArea(Fraction(1, 6)).decimal(0) == "1"  # pi/6 = 0.52...
+    with pytest.raises(ValueError):
+        ExactArea(Fraction(1, 3)).decimal(-1)
+
+
 def test_compare_to_threshold():
     a = ExactArea(Fraction(2, 3))  # 2 pi / 3 = 2.0943951023...
     assert compare_to_threshold(a, "2.0943951") == 1
