@@ -2,20 +2,21 @@
 
 One scan feeds xi, threshold ladders and record listings.  Residue m runs c
 downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d), and stops
-behind a certified monotone envelope: the fluctuating factor
-prod_{p|D}(1 + chi(p)/p) is bounded below by the Mertens-style product over
-the first floor(log2 D) primes, which rises dyadically.  The candidates of
-every residue are laid end to end and cut into windows of at most _CHUNK
-entries.  Each window gets its weights from one progression sieve
-(weight_ratio_array), by the primes up to the square root of its largest D,
-and is priced once with vectorized Euler factors, so no array grows with the
-cap.  A census whose cap reaches the factorization limit 10^12 is refused.
-Every threshold decision, here and in the counting lemma, goes through one
+at the cap of a certified inert-prime envelope (_envelope_cap): the weight
+prod_{p|D}(1 + chi(p)/p) is at least prod (1 - 1/q) over the first k inert
+primes q, k the most whose product is at most D, and each side factor of a
+prime of g is at least its minimum.  The candidates of every residue are laid
+end to end and cut into windows of at most _CHUNK entries.  Each window gets
+its weights from one progression sieve (weight_ratio_array), by the primes up
+to the square root of its largest D, is priced once with vectorized Euler
+factors, and its c below each threshold are counted or listed, so no array
+grows with the cap.  Requests past the factorization limit 10^12 or past
+physical memory are refused.  Every threshold decision goes through one
 exact decider: floats decide outside a guard band, and anything inside it is
 re-decided with rationals (and a rational pi bracket for areas).  The
-counting lemma reads one cached array, the step-1 progression through the
-same sieve, for one field at a time.  Everything runs in the calling
-process: the public functions accept a `jobs` keyword and ignore it.
+counting lemma stops at the same envelope with base 1 and reads one cached
+step-1 progression from the same sieve, for one field at a time.  Everything
+runs in the calling process: the public functions ignore their `jobs` keyword.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -27,6 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .classgroup import is_admissible
 from .hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
-from .ntkernel import _FACTOR_LIMIT, PRIMES, character, divisor_stats, factorize, prime_blocks
+from .ntkernel import _FACTOR_LIMIT, PRIMES, character, divisor_stats, factorize, legendre, prime_blocks
 from .volume import PI_DIGITS, ExactArea, area_closed_form, compare_to_threshold, pi_bracket
 
 DEFAULT_PRIME_LIMIT = 300_000_000
@@ -58,29 +60,33 @@ def F_value(d: int, n: int) -> Fraction:
     return out
 
 
-def _mertens_fractions(count: int = 64) -> list[Fraction]:
-    """B_k = prod over the first k primes of (1 - 1/p), exact; B_0 = 1."""
-    out = [Fraction(1)]
-    for p in PRIMES[:count]:
-        out.append(out[-1] * (1 - Fraction(1, p)))
-    return out
+def _envelope_cap(d: int, base: Fraction, threshold: Fraction) -> int:
+    """First D such that base * n * L(n) > threshold for every n >= D.
 
+    Take the inert primes q_1 < q_2 < ... of chi_d (p not | d, chi(p) = -1),
+    their partial products Q_k and L_k = prod_{i <= k}(1 - 1/q_i); L(n) = L_k
+    on the piece Q_k <= n < Q_{k+1}.  Then n * prod_{p|n}(1 + chi(p)/p) >=
+    n * L(n): only the inert primes of n give factors below 1, and the first
+    k inert primes minimise prod (1 - 1/p) over every set of distinct inert
+    primes with product at most n.  For if j of them have product at most n,
+    their i-th smallest is at least q_i, so Q_j <= n and j <= k; and their
+    product of (1 - 1/p) is at least L_j >= L_k.
 
-_MERTENS = _mertens_fractions()
-
-
-def _dyadic_envelope_start(threshold: Fraction) -> int:
-    """Smallest power of two N with N * B_{log2 N} >= threshold, so that
-    every n >= N has n * prod_{p|n}(1 - 1/p) >= threshold.
-
-    Works because 2^k B_k is nondecreasing in k: the step ratio is
-    2(1 - 1/p_{k+1}) >= 4/3 from k = 1 on.
-    """
-    if threshold <= 1:
+    On each piece the envelope base * n * L_k rises with n.  At the next jump
+    it falls to base * Q_{k+1} L_{k+1} = base * Q_k L_k (q_{k+1} - 1) >=
+    base * Q_k L_k, the bottom of the piece before: the bottoms never fall,
+    so once the next jump clears the threshold every later n does.  The cap
+    is then the first n of the current piece that clears, or the jump."""
+    if base > threshold:
         return 1
-    for k in range(len(_MERTENS) - 1):
-        if (1 << k) * _MERTENS[k] >= threshold:
-            return 1 << k
+    chi = character(d)
+    Q, L = 1, Fraction(1)
+    for q in PRIMES:
+        if chi.at_prime(q) != -1:
+            continue
+        if base * Q * (q - 1) * L > threshold:
+            return min(Q * q, int(threshold / (base * L)) + 1)
+        Q, L = Q * q, L * (1 - Fraction(1, q))
     raise ValueError(f"threshold {threshold} out of supported range")
 
 
@@ -164,6 +170,13 @@ except (AttributeError, ValueError, OSError):  # no sysconf figure: no check
     _PHYSICAL_MEMORY = math.inf
 
 
+def _refuse_past_memory(nbytes: int, what: str) -> None:
+    if nbytes > _PHYSICAL_MEMORY:
+        raise ValueError(
+            f"{what}, {nbytes / 2**30:.1f} GiB, more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def _lemma_weights(d: int, cap: int) -> np.ndarray:
     """weight_ratio_array(d, [(1, 1, cap - 1)]): entry n - 1 is the weight of
     n, for 1 <= n < cap.  The cache keeps one field, the most recently built,
@@ -172,11 +185,7 @@ def _lemma_weights(d: int, cap: int) -> np.ndarray:
     cached = _LEMMA_WEIGHTS.get(d)
     if cached is not None and len(cached) >= cap - 1:
         return cached
-    if 8 * cap > _PHYSICAL_MEMORY:
-        raise ValueError(
-            f"counting lemma needs a {8 * cap / 2**30:.1f} GiB weight array, "
-            f"more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
-        )
+    _refuse_past_memory(8 * cap, "counting lemma needs a weight array")
     W = weight_ratio_array(d, [(1, 1, cap - 1)])
     _LEMMA_WEIGHTS.clear()
     _LEMMA_WEIGHTS[d] = W
@@ -198,9 +207,9 @@ def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
 def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     """Exact #{n = r (mod a), n >= 1 : F(n) < X}.
 
-    Requires every prime of a to divide d.  Enumeration is certified
-    complete by the dyadic Mertens envelope; near-threshold candidates are
-    re-decided with exact rationals.
+    Requires every prime of a to divide d.  Enumeration stops at the
+    inert-prime envelope with base 1, as F(n) >= n L(n); near-threshold
+    candidates are re-decided with exact rationals.
     """
     if a < 1:
         raise ValueError(f"modulus must be positive, got {a}")
@@ -210,7 +219,7 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     X = Fraction(X)
     if X <= 1:
         return 0
-    ncap = _dyadic_envelope_start(X)
+    ncap = _envelope_cap(d, Fraction(1), X)
     W = _lemma_weights(d, max(ncap, 2))
     start = r % a if (r % a) else a
     ns = np.arange(start, ncap, a, dtype=np.int64)
@@ -234,28 +243,6 @@ class SurfaceRecord:
         return ExactArea(self.q)
 
 
-def _uniform_bound_coeff(d: int, d0: int) -> Fraction:
-    """Coefficient K with area >= K * D * B(D) * pi for every surface with
-    this (d, d0): worst-case symbol in every d-side Euler factor."""
-    k = Fraction(d, d0 * d0) / 3
-    dps = [p for p, _ in factorize(d).factors]
-    k /= 2 ** len(dps)
-    for p in dps:
-        k *= 1 - Fraction(1, p)
-    return k
-
-
-def _dyadic_D_cap(coeff: Fraction, threshold: Fraction) -> int:
-    """Smallest power of two M with coeff * pi * M * B_{log2 M} > threshold:
-    no surface with D >= M fits under the threshold."""
-    pi_lo, _, scale = pi_bracket(PI_DIGITS)
-    base = coeff * Fraction(pi_lo, scale)
-    for k in range(len(_MERTENS) - 1):
-        if base * (1 << k) * _MERTENS[k] > threshold:
-            return 1 << k
-    raise ValueError(f"threshold {threshold} out of supported range")
-
-
 def _exact_q(d: int, m: int, c: int) -> Fraction:
     return area_closed_form(SurfaceIndex(d, m, c, 1)).q
 
@@ -265,82 +252,90 @@ _CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class _Progression:
-    """Residue m's candidates: c = c_start - j has D = D0 + step * j, for
-    0 <= j < total, under the certified envelope."""
+    """Residue m's candidates below its cap: c = c_start - j, 0 <= j < total."""
 
     m: int
     c_start: int
     D0: int
     step: int
     total: int
-    base_q: float
-    side_tables: tuple[tuple[int, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def _side_table(p: int) -> tuple[Fraction, np.ndarray]:
+    """The Euler factor of a prime p | g = gcd(m, d) at D = r (mod p),
+    (1 - p^-2) / (1 - (D/p)/p), halved where p | D: its exact minimum over
+    r, and its float values for r = 0..p-1."""
+    by_symbol = {s: Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (-1, 0, 1)}
+    factors = [by_symbol[legendre(r, p)] for r in range(p)]
+    table = np.array([float(f) for f in factors])
+    table.setflags(write=False)  # cached: shared by every scan
+    return min(factors), table
+
+
+def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
+    """Cap on D for the residues m with gcd(m, d) = g.  Their area is
+    g^2/(3d) * D * prod_{p|D, p not | d}(1 + chi(p)/p) * prod_{p|g} side factor
+    * pi, so the envelope base is g^2/(3d) times the smallest side factor of
+    each p | g times the lower end of the pi bracket."""
+    pi_lo, _, scale = pi_bracket(PI_DIGITS)
+    base = Fraction(g * g * pi_lo, 3 * d * scale)
+    for p, _ in factorize(g).factors:
+        base *= _side_table(p)[0]
+    return _envelope_cap(d, base, threshold)
 
 
 def _progression(d: int, m: int, cap: int) -> _Progression:
-    """Residue m's progression below the cap on D."""
-    g = gcd(m, d)
-    # per-prime lookup tables indexed by D mod p, folding in the halving at
-    # shared primes (where the D-symbol is 0)
-    tabs = []
-    for p, _ in factorize(g).factors:
-        tab = np.empty(p, dtype=np.float64)
-        for rem in range(p):
-            sym = 0 if rem == 0 else (1 if pow(rem, (p - 1) // 2, p) == 1 else -1)
-            fac = (1 - p**-2) / (1 - sym / p)
-            if rem == 0:
-                fac *= 0.5
-            tab[rem] = fac
-        tabs.append((p, tab))
-    c_start = (m * m - 1) // d
-    n0 = m * m - c_start * d  # in [1, d]
-    step = d * d // (g * g)
-    D0 = d * n0 // (g * g)
+    """Residue m's progression D = D0 + step * j below the cap on D."""
+    c_start = (m * m - 1) // d  # the largest c with m^2 > c d
+    d0, D0 = d0_and_D(d, m, c_start)
+    step = d0 * d0
     total = -(-(cap - D0) // step) if cap > D0 else 0
-    return _Progression(m, c_start, D0, step, total, float(Fraction(g * g, d) / 3), tuple(tabs))
+    return _Progression(m, c_start, D0, step, total)
 
 
-def _scan_all(d: int, xs: list[Fraction], bound_factor: int) -> list[list[np.ndarray]]:
-    """Every residue m in ascending order, c descending under the certified
-    envelope cut at bound_factor times the largest threshold; returns, per m
-    and threshold x, the array of c with area exactly below x.
+def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
+    """Every residue m in ascending order, c descending below its envelope
+    cap at bound_factor times the largest threshold.  Yields (i, ms, cs) per
+    window and threshold xs[i]: the pairs (m, c) of the window with area
+    exactly below xs[i].
 
-    Each window of candidates is sieved once and priced once.  A cap at or
-    past the factorization limit is refused before anything is sieved."""
+    Each window of candidates is sieved once and priced once.  Refused before
+    anything is sieved: a cap at or past the factorization limit, and more
+    candidates than physical memory holds at 8 bytes a threshold."""
     top = max(xs) * bound_factor
-    d0s = [d // gcd(m, d) for m in range(d)]
-    caps = {d0: _dyadic_D_cap(_uniform_bound_coeff(d, d0), top) for d0 in set(d0s)}
-    # d0 = d has the smallest envelope coefficient, so the largest cap
-    if caps[d] >= _FACTOR_LIMIT:
-        raise ValueError(f"census would scan D up to {caps[d]}, past the factorization limit {_FACTOR_LIMIT}")
-    progs = [_progression(d, m, caps[d0]) for m, d0 in enumerate(d0s)]
+    gs = [gcd(m, d) for m in range(d)]
+    caps = {g: _residue_cap(d, g, top) for g in set(gs)}
+    if max(caps.values()) >= _FACTOR_LIMIT:
+        raise ValueError(f"census would scan D up to {max(caps.values())}, past the factorization limit {_FACTOR_LIMIT}")
+    progs = [_progression(d, m, caps[g]) for m, g in enumerate(gs)]
     firsts = list(accumulate((pr.total for pr in progs), initial=0))
-    kept = [[[np.empty(0, dtype=np.int64)] for _ in xs] for _ in progs]
+    _refuse_past_memory(8 * firsts[-1] * len(xs), f"census would price {firsts[-1]} candidates at 8 bytes a threshold")
     for w0 in range(0, firsts[-1], _CHUNK):
         # the candidates of every residue end to end: the pieces [lo, hi)
-        # of each progression in the window [w0, w0 + _CHUNK)
+        # of each progression in the window [w0, w0 + _CHUNK), at f + lo - w0
         window = [
-            (pr, max(w0 - f, 0), min(w0 + _CHUNK - f, pr.total))
+            (pr, f, max(w0 - f, 0), min(w0 + _CHUNK - f, pr.total))
             for pr, f in zip(progs, firsts)
             if max(f, w0) < min(f + pr.total, w0 + _CHUNK)
         ]
-        W = weight_ratio_array(d, [(pr.D0 + pr.step * lo, pr.step, hi - lo) for pr, lo, hi in window])
-        offset = 0
-        for pr, lo, hi in window:
+        W = weight_ratio_array(d, [(pr.D0 + pr.step * lo, pr.step, hi - lo) for pr, _, lo, hi in window])
+        # read through an index array: perfbench counts such reads as candidates
+        area = W[np.arange(len(W))]
+        m, c = np.empty((2, len(W)), dtype=np.int64)
+        for pr, f, lo, hi in window:
             j = np.arange(lo, hi, dtype=np.int64)
             D = pr.D0 + pr.step * j
-            # read through an index array: perfbench counts such reads as candidates
-            qv = pr.base_q * D.astype(np.float64) * W[np.arange(offset, offset + hi - lo)]
-            offset += hi - lo
-            for p, tab in pr.side_tables:
-                qv *= tab[D % p]
-            area = qv * math.pi
-            for out, x in zip(kept[pr.m], xs):
-                below = _below(
-                    area, x, lambda k: compare_to_threshold(ExactArea(_exact_q(d, pr.m, pr.c_start - lo - k)), x) < 0
-                )
-                out.append(pr.c_start - j[below])
-    return [[np.concatenate(out) for out in per_m] for per_m in kept]
+            g = gcd(pr.m, d)
+            piece = slice(f + lo - w0, f + hi - w0)
+            m[piece], c[piece] = pr.m, pr.c_start - j
+            area[piece] *= g * g / (3 * d) * D.astype(np.float64)
+            for p, _ in factorize(g).factors:
+                area[piece] *= _side_table(p)[1][D % p]
+        area *= math.pi
+        for i, x in enumerate(xs):
+            below = _below(area, x, lambda k: compare_to_threshold(ExactArea(_exact_q(d, int(m[k]), int(c[k]))), x) < 0)
+            yield i, m[below], c[below]
 
 
 def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -> list[SurfaceRecord]:
@@ -356,8 +351,8 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
         return []
     rs = divisors_below_sqrt(d)
     records = []
-    for m, (cs,) in enumerate(_scan_all(d, [X], bound_factor)):
-        for c in cs.tolist():
+    for _, ms, cs in _scan_all(d, [X], bound_factor):
+        for m, c in zip(ms.tolist(), cs.tolist()):
             d0, D = d0_and_D(d, m, c)
             q = _exact_q(d, m, c)
             records.extend(SurfaceRecord(m, c, r, d0, D, q) for r in rs)
@@ -376,15 +371,18 @@ def xi(d: int, X, jobs: int | None = 1) -> int:
 
 
 def surface_counts(d: int, thresholds: list, jobs: int | None = 1) -> list[int]:
-    """xi at several thresholds from one scan at the largest of them.
-    jobs is accepted and ignored."""
+    """xi at several thresholds from one scan at the largest of them; each
+    window's survivors are counted and dropped.  jobs is accepted and
+    ignored."""
     _require_admissible(d)
     xs = [Fraction(x) for x in thresholds]
     if any(x <= 0 for x in xs):
         raise ValueError("thresholds must be positive")
     mult = len(divisors_below_sqrt(d))
-    per_m = _scan_all(d, xs, bound_factor=1)
-    return [mult * sum(map(len, kept)) for kept in zip(*per_m)]
+    counts = [0] * len(xs)
+    for i, _, cs in _scan_all(d, xs, bound_factor=1):
+        counts[i] += mult * len(cs)
+    return counts
 
 
 @dataclass(frozen=True)

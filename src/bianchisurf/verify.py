@@ -14,9 +14,6 @@ from math import gcd
 
 from .census import (
     F_value,
-    _dyadic_D_cap,
-    _dyadic_envelope_start,
-    _uniform_bound_coeff,
     count_F_in_progression,
     enumerate_surfaces,
     leading_constants_bundle,
@@ -30,7 +27,7 @@ from .hermitian import (
     pullback_circle,
     verify_gcd_identities,
 )
-from .ntkernel import factorize
+from .ntkernel import PRIMES, factorize
 from .quatorder import (
     build_order,
     closure_defect,
@@ -40,7 +37,7 @@ from .quatorder import (
     nrd_index_bruteforce,
     reduced_discriminant,
 )
-from .volume import area_closed_form, area_via_order, compare_to_threshold
+from .volume import PI_DIGITS, area_closed_form, area_via_order, compare_to_threshold, pi_bracket
 
 SWEEP_DS = (3, 7, 11, 15, 19, 23)
 SWEEP_D_LIMIT = 200
@@ -194,9 +191,65 @@ def suite_constants(ds=SWEEP_DS, prime_limit: int | None = None) -> SuiteReport:
     return rep
 
 
+# --- the recounts' own stop rules -----------------------------------------
+#
+# Looser than the census's inert-prime envelope and kept so on purpose: a
+# recount that shared the scan's stop rule could not catch an unsound cap.
+
+
+def _mertens_fractions(count: int = 64) -> list[Fraction]:
+    """B_k = prod over the first k primes of (1 - 1/p), exact; B_0 = 1."""
+    out = [Fraction(1)]
+    for p in PRIMES[:count]:
+        out.append(out[-1] * (1 - Fraction(1, p)))
+    return out
+
+
+_MERTENS = _mertens_fractions()
+
+
+def _dyadic_envelope_start(threshold: Fraction) -> int:
+    """Smallest power of two N with N * B_{log2 N} >= threshold, so that
+    every n >= N has n * prod_{p|n}(1 - 1/p) >= threshold.
+
+    Works because 2^k B_k is nondecreasing in k: the step ratio is
+    2(1 - 1/p_{k+1}) >= 4/3 from k = 1 on.
+    """
+    if threshold <= 1:
+        return 1
+    for k in range(len(_MERTENS) - 1):
+        if (1 << k) * _MERTENS[k] >= threshold:
+            return 1 << k
+    raise ValueError(f"threshold {threshold} out of supported range")
+
+
+def _uniform_bound_coeff(d: int, d0: int) -> Fraction:
+    """Coefficient K with area >= K * D * B(D) * pi for every surface with
+    this (d, d0): worst-case symbol in every d-side Euler factor."""
+    k = Fraction(d, d0 * d0) / 3
+    dps = [p for p, _ in factorize(d).factors]
+    k /= 2 ** len(dps)
+    for p in dps:
+        k *= 1 - Fraction(1, p)
+    return k
+
+
+def _dyadic_D_cap(coeff: Fraction, threshold: Fraction) -> int:
+    """Smallest power of two M with coeff * pi * M * B_{log2 M} > threshold:
+    no surface with D >= M fits under the threshold."""
+    pi_lo, _, scale = pi_bracket(PI_DIGITS)
+    base = coeff * Fraction(pi_lo, scale)
+    for k in range(len(_MERTENS) - 1):
+        if base * (1 << k) * _MERTENS[k] > threshold:
+            return 1 << k
+    raise ValueError(f"threshold {threshold} out of supported range")
+
+
 def _brute_xi(d: int, X: Fraction, bound_factor: int = 4) -> int:
     """Independent census recount: plain python loop, exact areas, and a
-    widened stop bound."""
+    widened stop bound.  The bound is the old loose rule, kept on purpose:
+    the worst-case d-side coefficient over the dyadic Mertens envelope
+    (_dyadic_D_cap), not the census's inert-prime envelope."""
     total = 0
     for m in range(d):
         g = gcd(m, d)
@@ -213,6 +266,10 @@ def _brute_xi(d: int, X: Fraction, bound_factor: int = 4) -> int:
 
 
 def _brute_count_F(d: int, a: int, r: int, X: Fraction) -> int:
+    """Independent count of n = r (mod a) with F(n) < X by exact F values.
+    It stops at the old loose rule, kept on purpose: the dyadic Mertens
+    envelope over all primes (_dyadic_envelope_start), not the counting
+    lemma's inert-prime envelope."""
     ncap = _dyadic_envelope_start(X)
     want = r % a
     return sum(

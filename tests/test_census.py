@@ -1,9 +1,12 @@
 """Census scan, counting lemma, and constant chain."""
 
+import bisect
 import math
+import operator
 import os
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
 
 import mpmath
@@ -15,11 +18,9 @@ from hypothesis import strategies as st
 from bianchisurf import census
 from bianchisurf.census import (
     _LEMMA_WEIGHTS,
-    _MERTENS,
-    _dyadic_D_cap,
-    _dyadic_envelope_start,
+    _envelope_cap,
     _lemma_weights,
-    _uniform_bound_coeff,
+    _residue_cap,
     F_value,
     constant_C,
     count_F_in_progression,
@@ -32,9 +33,18 @@ from bianchisurf.census import (
     weight_ratio_array,
     xi,
 )
-from bianchisurf.hermitian import SurfaceIndex
+from bianchisurf.hermitian import SurfaceIndex, divisors_below_sqrt
 from bianchisurf.ntkernel import character, factorize
-from bianchisurf.verify import SWEEP_DS, _brute_count_F, _brute_xi, pairs_under
+from bianchisurf.verify import (
+    _MERTENS,
+    SWEEP_DS,
+    _brute_count_F,
+    _brute_xi,
+    _dyadic_D_cap,
+    _dyadic_envelope_start,
+    _uniform_bound_coeff,
+    pairs_under,
+)
 from bianchisurf.volume import area_closed_form, compare_to_threshold
 
 
@@ -166,10 +176,21 @@ def test_infeasible_census_refused(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved before refusing")
 
-    # cap 2^40 is past the factorization limit 10^12: refused before sieving
+    # cap 9.5e10 is below the factorization limit, but 4.5e10 candidates at
+    # 8 bytes each do not fit in memory: refused before sieving
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    with pytest.raises(ValueError, match="physical memory"):
+        xi(3, 10**10)
+
+
+def test_census_past_factorization_limit_refused(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    # cap 9.8e12 is past the factorization limit 10^12, which is checked first
     monkeypatch.setattr(census, "prime_blocks", no_sieve)
     with pytest.raises(ValueError, match="factorization limit"):
-        xi(3, 10**10)
+        xi(3, 10**12)
 
 
 def test_infeasible_lemma_refused(monkeypatch):
@@ -282,6 +303,91 @@ def test_dyadic_cap_is_sound_independently():
                     assert M & (M - 1) == 0
                     assert clears(M, X * factor)
                     assert M == 1 or not clears(M // 2, X * factor)
+
+
+def _inert_primes(d: int, count: int) -> list[int]:
+    # chi_d(p) = (-d / p): Euler's criterion at odd p, the mod-8 rule at 2
+    out = []
+    for p in _first_primes(400):
+        if d % p == 0:
+            continue
+        if p == 2:
+            inert = (-d) % 8 in (3, 5)
+        else:
+            inert = pow(-d % p, (p - 1) // 2, p) == p - 1
+        if inert:
+            out.append(p)
+        if len(out) == count:
+            return out
+    raise AssertionError("too few inert primes")
+
+
+def _own_envelope(d: int):
+    """n -> n * L(n), with L(n) the product of (1 - 1/q) over the inert
+    primes q_1, ..., q_k, k the largest with q_1 ... q_k <= n; and the jump
+    points q_1 ... q_k."""
+    qs = _inert_primes(d, 16)
+    jumps = list(accumulate(qs, operator.mul, initial=1))
+    Ls = list(accumulate((1 - Fraction(1, q) for q in qs), operator.mul, initial=Fraction(1)))
+
+    def envelope(n: int) -> Fraction:
+        return n * Ls[bisect.bisect_right(jumps, n) - 1]
+
+    return envelope, jumps
+
+
+def _census_base(d: int, g: int) -> Fraction:
+    # g^2 / (3d) times the smallest side factor (1 - p^-2)/2 of each p | g
+    side = [(1 - Fraction(1, p * p)) / 2 for p in _first_primes(10) if g % p == 0]
+    return Fraction(g * g, 3 * d) * prod(side)
+
+
+@pytest.mark.parametrize("d", [3, 7, 15])
+def test_envelope_cap_is_sound_independently(d):
+    # the census cap per g = gcd(m, d) against base * pi * n * L(n) with pi
+    # from mpmath, and the counting lemma's cap against n * L(n)
+    envelope, jumps = _own_envelope(d)
+
+    def check(cap: int, clears) -> None:
+        assert clears(cap)
+        assert all(clears(Q) for Q in jumps if Q > cap)
+        assert cap == 1 or not clears(cap - 1)
+
+    for X in (Fraction(5), Fraction(30), Fraction("99.5"), Fraction(10**5), Fraction(10**9)):
+        for g in (n for n in range(1, d + 1) if d % n == 0):
+            base = _census_base(d, g)
+
+            def clears(n: int) -> bool:
+                r = base * envelope(n)
+                with mpmath.workdps(50):
+                    area = mpmath.mpf(r.numerator) / r.denominator * mpmath.pi
+                    return area > mpmath.mpf(X.numerator) / X.denominator
+
+            check(_residue_cap(d, g, X), clears)
+        check(_envelope_cap(d, Fraction(1), X), lambda n: envelope(n) > X)
+
+
+def test_envelope_cap_excludes_heavy_surfaces():
+    for d in (3, 7, 15):
+        envelope, _ = _own_envelope(d)
+        # exact: q >= base * D * L(D) for every pair, so area > base pi D L(D)
+        for m, c, d0, D in pairs_under(d, 1000):
+            assert area_closed_form(SurfaceIndex(d, m, c, 1)).q >= _census_base(d, d // d0) * envelope(D)
+        for X in (Fraction(5), Fraction(30)):
+            for t in enumerate_surfaces(d, X, bound_factor=4):
+                assert t.D < _residue_cap(d, d // t.d0, X)
+
+
+@pytest.mark.parametrize("d, X", [(3, 10**5), (15, 10**4), (11, 10**5)])
+def test_candidates_at_most_three_times_accepted(monkeypatch, d, X):
+    priced = []
+    sieve = census.weight_ratio_array
+    # the candidates: every entry of every progression sieved
+    monkeypatch.setattr(
+        census, "weight_ratio_array", lambda d, segs: priced.append(sum(n for *_, n in segs)) or sieve(d, segs)
+    )
+    accepted = xi(d, X) // len(divisors_below_sqrt(d))
+    assert 0 < sum(priced) <= 3 * accepted
 
 
 def test_bound_factor_stability():

@@ -79,10 +79,10 @@ def test_census_deterministic(capsys):
 
 
 def test_infeasible_census_exit_code(capsys):
-    # cap 2^40 is past the factorization limit 10^12
+    # 4.5e10 candidates at 8 bytes each do not fit in memory
     rc, out, err = run(capsys, "census", "3", "10000000000")
     assert rc == EXIT_DOMAIN
-    assert out == "" and err.startswith("error:") and "factorization limit" in err
+    assert out == "" and err.startswith("error:") and "physical memory" in err
 
 
 def test_lemma_count_output(capsys):
