@@ -5,18 +5,20 @@ downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d), and stops
 at the cap of a certified inert-prime envelope (_envelope_cap): the weight
 prod_{p|D}(1 + chi(p)/p) is at least prod (1 - 1/q) over the first k inert
 primes q, k the most whose product is at most D, and each side factor of a
-prime of g is at least its minimum.  The candidates of every residue are laid
-end to end and cut into windows of at most _CHUNK entries.  Each window gets
-its weights from one progression sieve (weight_ratio_array), by the primes up
-to the square root of its largest D, is priced once with vectorized Euler
-factors, and its c below each threshold are counted or listed, so no array
-grows with the cap.  Requests past the factorization limit 10^12 or past
-physical memory are refused.  Every threshold decision goes through one
-exact decider: floats decide outside a guard band, and anything inside it is
+prime of g is at least its minimum.  One sieve loop (_windows) lays the
+progressions end to end and cuts them into windows of at most _CHUNK
+entries.  Each window gets its weights from one progression sieve
+(weight_ratio_array), by the primes up to the square root of its largest D,
+is priced once with vectorized Euler factors, and its c below each threshold
+are counted or listed, so no array grows with the cap.  Requests past the
+factorization limit 10^12 or past physical memory are refused before
+anything is sieved.  Every threshold decision goes through one exact
+decider: floats decide outside a guard band, and anything inside it is
 re-decided with rationals (and a rational pi bracket for areas).  The
-counting lemma stops at the same envelope with base 1 and reads one cached
-step-1 progression from the same sieve, for one field at a time.  Everything
-runs in the calling process: the public functions ignore their `jobs` keyword.
+counting lemma stops at the same envelope with base 1 and windows its one
+progression through the same sieve loop: it keeps nothing between calls and
+meets the same two refusals.  Everything runs in the calling process: the
+public functions ignore their `jobs` keyword.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -161,35 +163,43 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
     return W
 
 
-_LEMMA_WEIGHTS: dict[int, np.ndarray] = {}
-
-
 try:
     _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):  # no sysconf figure: no check
     _PHYSICAL_MEMORY = math.inf
 
+_CHUNK = 1 << 17
 
-def _refuse_past_memory(nbytes: int, what: str) -> None:
+
+def _windows(d: int, progressions: list[tuple[int, int, int]], nthresholds: int):
+    """The progressions D = D0 + step * j, 0 <= j < total, one (D0, step,
+    total) each, laid end to end and cut into windows of at most _CHUNK
+    entries.  Yields (pieces, W) per window: W holds the window's weights
+    from one weight_ratio_array sieve, and pieces lists (k, j, s) for each
+    progression k in the window: its indices j, whose weights are W[s].
+
+    Refused before anything is sieved: a D at or past the factorization
+    limit, then more entries than physical memory holds at 8 bytes a
+    threshold."""
+    top = max((D0 + step * (n - 1) for D0, step, n in progressions if n), default=0)
+    if top >= _FACTOR_LIMIT:
+        raise ValueError(f"would sieve up to {top}, past the factorization limit {_FACTOR_LIMIT}")
+    firsts = list(accumulate((n for *_, n in progressions), initial=0))
+    nbytes = 8 * firsts[-1] * nthresholds
     if nbytes > _PHYSICAL_MEMORY:
         raise ValueError(
-            f"{what}, {nbytes / 2**30:.1f} GiB, more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
+            f"would price {firsts[-1]} candidates at 8 bytes a threshold, {nbytes / 2**30:.1f} GiB,"
+            f" more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
         )
-
-
-def _lemma_weights(d: int, cap: int) -> np.ndarray:
-    """weight_ratio_array(d, [(1, 1, cap - 1)]): entry n - 1 is the weight of
-    n, for 1 <= n < cap.  The cache keeps one field, the most recently built,
-    and grows it monotonically.  Raises ValueError, before sieving, if the
-    array would not fit in physical memory."""
-    cached = _LEMMA_WEIGHTS.get(d)
-    if cached is not None and len(cached) >= cap - 1:
-        return cached
-    _refuse_past_memory(8 * cap, "counting lemma needs a weight array")
-    W = weight_ratio_array(d, [(1, 1, cap - 1)])
-    _LEMMA_WEIGHTS.clear()
-    _LEMMA_WEIGHTS[d] = W
-    return W
+    for w0 in range(0, firsts[-1], _CHUNK):
+        # the entries lo <= j < hi of each progression in [w0, w0 + _CHUNK)
+        pieces, segments = [], []
+        for k, ((D0, step, n), f) in enumerate(zip(progressions, firsts)):
+            lo, hi = max(w0 - f, 0), min(w0 + _CHUNK - f, n)
+            if lo < hi:
+                pieces.append((k, np.arange(lo, hi, dtype=np.int64), slice(f + lo - w0, f + hi - w0)))
+                segments.append((D0 + step * lo, step, hi - lo))
+        yield pieces, weight_ratio_array(d, segments)
 
 
 def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
@@ -204,27 +214,34 @@ def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
     return below
 
 
+def _check_modulus(d: int, a: int) -> None:
+    if a < 1:
+        raise ValueError(f"modulus must be positive, got {a}")
+    for p, _ in factorize(a).factors:
+        if d % p:
+            raise ValueError(f"prime {p} of modulus a = {a} does not divide d = {d}")
+
+
 def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     """Exact #{n = r (mod a), n >= 1 : F(n) < X}.
 
     Requires every prime of a to divide d.  Enumeration stops at the
-    inert-prime envelope with base 1, as F(n) >= n L(n); near-threshold
-    candidates are re-decided with exact rationals.
+    inert-prime envelope with base 1, as F(n) >= n L(n), and runs window by
+    window through the census sieve; near-threshold candidates are
+    re-decided with exact rationals.
     """
-    if a < 1:
-        raise ValueError(f"modulus must be positive, got {a}")
-    for p, _ in factorize(a).factors if a > 1 else ():
-        if d % p:
-            raise ValueError(f"prime {p} of modulus a = {a} does not divide d = {d}")
+    _check_modulus(d, a)
     X = Fraction(X)
     if X <= 1:
         return 0
+    start = r % a or a
     ncap = _envelope_cap(d, Fraction(1), X)
-    W = _lemma_weights(d, max(ncap, 2))
-    start = r % a if (r % a) else a
-    ns = np.arange(start, ncap, a, dtype=np.int64)
-    F = ns.astype(np.float64) * W[ns - 1]
-    return int(np.count_nonzero(_below(F, X, lambda k: F_value(d, int(ns[k])) < X)))
+    count = 0
+    for [(_, j, _)], W in _windows(d, [(start, a, len(range(start, ncap, a)))], 1):
+        n = start + a * j
+        F = n.astype(np.float64) * W
+        count += int(np.count_nonzero(_below(F, X, lambda k: F_value(d, int(n[k])) < X)))
+    return count
 
 
 # --- census enumeration --------------------------------------------------
@@ -245,20 +262,6 @@ class SurfaceRecord:
 
 def _exact_q(d: int, m: int, c: int) -> Fraction:
     return area_closed_form(SurfaceIndex(d, m, c, 1)).q
-
-
-_CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class _Progression:
-    """Residue m's candidates below its cap: c = c_start - j, 0 <= j < total."""
-
-    m: int
-    c_start: int
-    D0: int
-    step: int
-    total: int
 
 
 @lru_cache(maxsize=None)
@@ -285,50 +288,31 @@ def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
     return _envelope_cap(d, base, threshold)
 
 
-def _progression(d: int, m: int, cap: int) -> _Progression:
-    """Residue m's progression D = D0 + step * j below the cap on D."""
-    c_start = (m * m - 1) // d  # the largest c with m^2 > c d
-    d0, D0 = d0_and_D(d, m, c_start)
-    step = d0 * d0
-    total = -(-(cap - D0) // step) if cap > D0 else 0
-    return _Progression(m, c_start, D0, step, total)
-
-
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
-    """Every residue m in ascending order, c descending below its envelope
-    cap at bound_factor times the largest threshold.  Yields (i, ms, cs) per
-    window and threshold xs[i]: the pairs (m, c) of the window with area
-    exactly below xs[i].
+    """Every residue m in ascending order, c descending from c_start, the
+    largest c with m^2 > c d: D = D0 + (d/g)^2 j at c = c_start - j, below
+    the envelope cap at bound_factor times the largest threshold.  Yields
+    (i, ms, cs) per window and threshold xs[i]: the pairs (m, c) of the
+    window with area exactly below xs[i].
 
-    Each window of candidates is sieved once and priced once.  Refused before
-    anything is sieved: a cap at or past the factorization limit, and more
-    candidates than physical memory holds at 8 bytes a threshold."""
+    Each window of candidates is sieved once (_windows) and priced once."""
     top = max(xs) * bound_factor
     gs = [gcd(m, d) for m in range(d)]
     caps = {g: _residue_cap(d, g, top) for g in set(gs)}
-    if max(caps.values()) >= _FACTOR_LIMIT:
-        raise ValueError(f"census would scan D up to {max(caps.values())}, past the factorization limit {_FACTOR_LIMIT}")
-    progs = [_progression(d, m, caps[g]) for m, g in enumerate(gs)]
-    firsts = list(accumulate((pr.total for pr in progs), initial=0))
-    _refuse_past_memory(8 * firsts[-1] * len(xs), f"census would price {firsts[-1]} candidates at 8 bytes a threshold")
-    for w0 in range(0, firsts[-1], _CHUNK):
-        # the candidates of every residue end to end: the pieces [lo, hi)
-        # of each progression in the window [w0, w0 + _CHUNK), at f + lo - w0
-        window = [
-            (pr, f, max(w0 - f, 0), min(w0 + _CHUNK - f, pr.total))
-            for pr, f in zip(progs, firsts)
-            if max(f, w0) < min(f + pr.total, w0 + _CHUNK)
-        ]
-        W = weight_ratio_array(d, [(pr.D0 + pr.step * lo, pr.step, hi - lo) for pr, _, lo, hi in window])
+    c_starts = [(m * m - 1) // d for m in range(d)]
+    progs = []
+    for m, c in enumerate(c_starts):
+        d0, D0 = d0_and_D(d, m, c)
+        progs.append((D0, d0 * d0, len(range(D0, caps[gs[m]], d0 * d0))))
+    for pieces, W in _windows(d, progs, len(xs)):
         # read through an index array: perfbench counts such reads as candidates
         area = W[np.arange(len(W))]
         m, c = np.empty((2, len(W)), dtype=np.int64)
-        for pr, f, lo, hi in window:
-            j = np.arange(lo, hi, dtype=np.int64)
-            D = pr.D0 + pr.step * j
-            g = gcd(pr.m, d)
-            piece = slice(f + lo - w0, f + hi - w0)
-            m[piece], c[piece] = pr.m, pr.c_start - j
+        for k, j, piece in pieces:  # progression k is residue m = k
+            D0, step, _ = progs[k]
+            D = D0 + step * j
+            g = gs[k]
+            m[piece], c[piece] = k, c_starts[k] - j
             area[piece] *= g * g / (3 * d) * D.astype(np.float64)
             for p, _ in factorize(g).factors:
                 area[piece] *= _side_table(p)[1][D % p]
@@ -344,7 +328,10 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
 
     Intended for record listings at moderate thresholds: each survivor gets
     an exact rational area.  Use xi or surface_counts for large scans.
-    jobs is accepted and ignored."""
+    bound_factor >= 1 widens the envelope caps; jobs is accepted and
+    ignored."""
+    if bound_factor < 1:
+        raise ValueError(f"bound_factor must be at least 1, got {bound_factor}")
     _require_admissible(d)
     X = Fraction(X)
     if X <= 0:
@@ -376,6 +363,8 @@ def surface_counts(d: int, thresholds: list, jobs: int | None = 1) -> list[int]:
     ignored."""
     _require_admissible(d)
     xs = [Fraction(x) for x in thresholds]
+    if not xs:
+        raise ValueError("surface_counts needs at least one threshold")
     if any(x <= 0 for x in xs):
         raise ValueError("thresholds must be positive")
     mult = len(divisors_below_sqrt(d))
@@ -545,7 +534,7 @@ def leading_constants_bundle(ds: tuple[int, ...], prime_limit: int | None = None
 
 def _euler_phi(a: int) -> int:
     out = a
-    for p, _ in factorize(a).factors if a > 1 else ():
+    for p, _ in factorize(a).factors:
         out = out // p * (p - 1)
     return out
 
@@ -562,9 +551,7 @@ class ResidueCheck:
 def residue_constant_check(d: int, a: int, prime_limit: int = 10_000_000) -> ResidueCheck:
     """The Dirichlet-residue identity at s = 1: the displayed convergent
     product times prod_{p|a}(1 - 1/p) against phi(a) C / a."""
-    for p, _ in factorize(a).factors if a > 1 else ():
-        if d % p:
-            raise ValueError(f"prime {p} of modulus a = {a} does not divide d = {d}")
+    _check_modulus(d, a)
     chi = character(d)
     table = chi.residue_table()
     logsum = 0.0
@@ -575,7 +562,7 @@ def residue_constant_check(d: int, a: int, prime_limit: int = 10_000_000) -> Res
         factor = 1.0 - 1.0 / pf + 1.0 / (1.0 + ch / pf) / pf
         logsum += float(np.sum(np.log(factor)))
     lhs = math.exp(logsum)
-    for p, _ in factorize(a).factors if a > 1 else ():
+    for p, _ in factorize(a).factors:
         lhs *= 1 - 1 / p
     Cv = constant_C(d, prime_limit=prime_limit)
     rhs = _euler_phi(a) * Cv.value / a

@@ -213,11 +213,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def trace_gram(order: QuaternionOrder) -> tuple[tuple[int, ...], ...]:
-    """The 4x4 integer matrix trd(e_i conj(e_j)) over the basis."""
-    return order.gram
-
-
 def _minor(m, row: int, col: int) -> list[list[int]]:
     return [[v for j, v in enumerate(r) if j != col] for i, r in enumerate(m) if i != row]
 

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 
 from bianchisurf import census
 from bianchisurf.census import (
-    _LEMMA_WEIGHTS,
     _envelope_cap,
-    _lemma_weights,
     _residue_cap,
     F_value,
     constant_C,
@@ -149,6 +147,18 @@ def test_count_F_rejects_bad_modulus():
         count_F_in_progression(3, 0, 0, 10)
 
 
+def test_residue_check_rejects_bad_modulus_unsieved(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    for a in (0, -3, 2):
+        with pytest.raises(ValueError, match="modulus"):
+            residue_constant_check(3, a)
+        with pytest.raises(ValueError, match="modulus"):
+            count_F_in_progression(3, a, 0, 10)
+
+
 def test_xi_spot_values():
     assert xi(3, Fraction("0.5")) == 0
     assert xi(3, Fraction("1.1")) == 2
@@ -194,13 +204,41 @@ def test_census_past_factorization_limit_refused(monkeypatch):
 
 
 def test_infeasible_lemma_refused(monkeypatch):
-    # a 1 MiB machine: the counting lemma's cached array is refused unbuilt
+    # a 1 MiB machine: the counting lemma's 3e5 candidates are refused unsieved
     monkeypatch.setattr(census, "_PHYSICAL_MEMORY", 2**20)
-    monkeypatch.setattr(census, "_LEMMA_WEIGHTS", {})
     with pytest.raises(ValueError, match="GiB"):
         count_F_in_progression(3, 1, 0, 10**5)
     assert count_F_in_progression(3, 3, 0, 10) == 5
     assert xi(3, Fraction("2.2")) == 5
+
+
+def test_lemma_past_factorization_limit_refused(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    with pytest.raises(ValueError, match="factorization limit") as refused:
+        count_F_in_progression(3, 1, 0, 10**12)
+    assert "census" not in str(refused.value) and "D" not in str(refused.value)
+
+
+def test_lemma_keeps_nothing():
+    count_F_in_progression(3, 1, 0, 20)  # warm the character's caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert count_F_in_progression(3, 1, 0, 10**5) == 155739
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 * 2**10
+
+
+def test_lemma_residues_across_windows():
+    # 305468 candidates at step 1: three windows of census._CHUNK
+    total = count_F_in_progression(3, 1, 0, 10**5)
+    assert total == 155739
+    assert sum(count_F_in_progression(3, 3, r, 10**5) for r in range(3)) == total
 
 
 def test_census_memory_bounded():
@@ -403,6 +441,15 @@ def test_surface_counts_match_individual_xi():
     assert surface_counts(3, thresholds) == [xi(3, x) for x in thresholds]
     with pytest.raises(ValueError):
         surface_counts(3, [Fraction(1), Fraction(0)])
+    with pytest.raises(ValueError, match="at least one threshold"):
+        surface_counts(3, [])
+
+
+def test_bound_factor_below_one_refused():
+    assert len(enumerate_surfaces(3, 30)) == 49
+    for factor in (0, Fraction(1, 4), -1):
+        with pytest.raises(ValueError, match="bound_factor"):
+            enumerate_surfaces(3, 30, bound_factor=factor)
 
 
 @pytest.mark.parametrize("d", [3, 15])
@@ -425,14 +472,6 @@ def test_thresholds_inside_guard_band(d):
         assert len(records) == n
         assert all(compare_to_threshold(t.area(), x) < 0 for t in records)
         assert enumerate_surfaces(d, x, jobs=2) == records
-
-
-def test_weight_cache_keeps_one_field():
-    count_F_in_progression(3, 1, 0, 20)
-    count_F_in_progression(7, 7, 1, 20)
-    assert list(_LEMMA_WEIGHTS) == [7]
-    n = len(_LEMMA_WEIGHTS[7])
-    assert _lemma_weights(7, n + 1) is _lemma_weights(7, n + 1)
 
 
 def test_one_weight_array_build_per_request(monkeypatch):

@@ -85,6 +85,12 @@ def test_infeasible_census_exit_code(capsys):
     assert out == "" and err.startswith("error:") and "physical memory" in err
 
 
+def test_lemma_past_factorization_limit_exit_code(capsys):
+    rc, out, err = run(capsys, "lemma-count", "3", "1", "0", "1000000000000")
+    assert rc == EXIT_DOMAIN
+    assert out == "" and err.startswith("error:") and "factorization limit" in err
+
+
 def test_lemma_count_output(capsys):
     rc, out, _ = run(capsys, "lemma-count", "3", "3", "0", "10")
     assert rc == EXIT_OK

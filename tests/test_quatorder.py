@@ -30,7 +30,6 @@ from bianchisurf.quatorder import (
     order_coordinates,
     reduced_discriminant,
     rho_prime,
-    trace_gram,
 )
 from bianchisurf.verify import SWEEP_DS, pairs_under, surfaces_under
 
@@ -75,7 +74,7 @@ def test_build_order_reference():
     assert p.d0 == 3
     assert order.D == 12
     assert reduced_discriminant(order) == 4  # = dD/d0^2
-    gram = trace_gram(order)
+    gram = order.gram
     assert all(gram[i][j] == gram[j][i] for i in range(4) for j in range(4))
     assert closure_defect(order) == []
 
@@ -111,7 +110,7 @@ def fraction_gram(order):
 @given(st.sampled_from(SMALL_CIRCLES), st.lists(st.integers(-50, 50), min_size=4, max_size=4))
 def test_integer_order_data_matches_fraction_reference(idx, ks):
     order = build_order(pullback_circle(idx))
-    assert trace_gram(order) == tuple(tuple(row) for row in fraction_gram(order))
+    assert order.gram == tuple(tuple(row) for row in fraction_gram(order))
     tvec, ndiag, cross = integral_form_coefficients(order)
     e = order.basis[0].scale(ks[0])
     for k, b in zip(ks[1:], order.basis[1:]):
