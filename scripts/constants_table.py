@@ -20,7 +20,11 @@ def main(argv=None) -> int:
     ds = tuple(int(v) for v in ns.ds.split(","))
 
     t0 = time.time()
-    bundle = leading_constants_bundle(ds, ns.prime_limit)
+    try:
+        bundle = leading_constants_bundle(ds, ns.prime_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.time() - t0
     print(f"{'d':>4} {'l_main':>20} {'l_census_form':>20} {'gap':>10} {'bound':>10}")
     for d in ds:

@@ -40,7 +40,11 @@ def parse_args(argv=None) -> RunConfig:
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     t0 = time.time()
-    rows = fit_report(cfg.d, cfg.points, prime_limit=cfg.prime_limit)
+    try:
+        rows = fit_report(cfg.d, cfg.points, prime_limit=cfg.prime_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.time() - t0
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["X", "xi", "ratio", "l_main", "rel_deviation"])

@@ -11,14 +11,15 @@ entries.  Each window gets its weights from one progression sieve
 (weight_ratio_array), by the primes up to the square root of its largest D,
 is priced once with vectorized Euler factors, and its c below each threshold
 are counted or listed, so no array grows with the cap.  Requests past the
-factorization limit 10^12 or past physical memory are refused before
-anything is sieved.  Every threshold decision goes through one exact
-decider: floats decide outside a guard band, and anything inside it is
-re-decided with rationals (and a rational pi bracket for areas).  The
+factorization limit 10^12 or past a fixed budget of candidates times
+thresholds (_MAX_PRICED) are refused before anything is sieved, with the
+same verdict on every machine.  Every threshold decision goes through one
+exact decider: floats decide outside a guard band, and anything inside it
+is re-decided with rationals (and a rational pi bracket for areas).  The
 counting lemma stops at the same envelope with base 1 and windows its one
 progression through the same sieve loop: it keeps nothing between calls and
-meets the same two refusals.  Everything runs in the calling process: the
-public functions ignore their `jobs` keyword.
+meets the same two refusals.  Everything runs in the calling process: xi,
+surface_counts and enumerate_surfaces ignore their `jobs` keyword.
 
 Constants are truncated Euler products over a shared segmented prime
 stream, with explicit tail certificates (Rosser's p_n > n log n).
@@ -27,7 +28,6 @@ stream, with explicit tail certificates (Rosser's p_n > n log n).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -163,12 +163,10 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
     return W
 
 
-try:
-    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-except (AttributeError, ValueError, OSError):  # no sysconf figure: no check
-    _PHYSICAL_MEMORY = math.inf
-
 _CHUNK = 1 << 17
+# the largest request started, in candidates times thresholds: a fixed limit, not a
+# measurement (windows bound the memory; the per-window prime loop sets the time)
+_MAX_PRICED = 2**34
 
 
 def _windows(d: int, progressions: list[tuple[int, int, int]], nthresholds: int):
@@ -179,18 +177,13 @@ def _windows(d: int, progressions: list[tuple[int, int, int]], nthresholds: int)
     progression k in the window: its indices j, whose weights are W[s].
 
     Refused before anything is sieved: a D at or past the factorization
-    limit, then more entries than physical memory holds at 8 bytes a
-    threshold."""
+    limit, then more entries times nthresholds than _MAX_PRICED."""
     top = max((D0 + step * (n - 1) for D0, step, n in progressions if n), default=0)
     if top >= _FACTOR_LIMIT:
         raise ValueError(f"would sieve up to {top}, past the factorization limit {_FACTOR_LIMIT}")
     firsts = list(accumulate((n for *_, n in progressions), initial=0))
-    nbytes = 8 * firsts[-1] * nthresholds
-    if nbytes > _PHYSICAL_MEMORY:
-        raise ValueError(
-            f"would price {firsts[-1]} candidates at 8 bytes a threshold, {nbytes / 2**30:.1f} GiB,"
-            f" more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
-        )
+    if firsts[-1] * nthresholds > _MAX_PRICED:
+        raise ValueError(f"would price {firsts[-1]} candidates at {nthresholds} threshold(s), past the budget of {_MAX_PRICED}")
     for w0 in range(0, firsts[-1], _CHUNK):
         # the entries lo <= j < hi of each progression in [w0, w0 + _CHUNK)
         pieces, segments = [], []
@@ -212,6 +205,11 @@ def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
     for k in np.flatnonzero(np.abs(values - Xf) <= guard).tolist():
         below[k] = exact_below(k)
     return below
+
+
+def _check_prime_limit(prime_limit: int) -> None:
+    if prime_limit < 4:  # two primes below it: 2/(P - 1) and 1/(N log^2 N) are finite
+        raise ValueError(f"prime_limit must be at least 4, got {prime_limit}")
 
 
 def _check_modulus(d: int, a: int) -> None:
@@ -383,9 +381,9 @@ class FitRow:
     rel_deviation: float
 
 
-def fit_report(d: int, thresholds: list, jobs: int | None = 1, prime_limit: int = 10_000_000) -> list[FitRow]:
-    """Empirical slope check: xi(X)/X against the leading constant.  jobs is
-    accepted and ignored."""
+def fit_report(d: int, thresholds: list, prime_limit: int = 10_000_000) -> list[FitRow]:
+    """Empirical slope check: xi(X)/X against the leading constant."""
+    _check_prime_limit(prime_limit)
     xs = [Fraction(x) for x in thresholds]
     if xs != sorted(xs):
         raise ValueError("thresholds must be ascending")
@@ -432,6 +430,7 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
 
     Cached per (d, limit); the d not yet cached for this limit share one
     pass over the primes."""
+    _check_prime_limit(limit)
     missing = [d for d in dict.fromkeys(ds) if (d, limit) not in _SUMS_CACHE]
     if missing:
         tables = {d: character(d).residue_table() for d in missing}
@@ -454,8 +453,7 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
 def _prime_square_tail(nprimes: int) -> float:
     """Certified bound on sum of 1/p^2 over primes beyond the first
     nprimes, from p_n > n log n."""
-    n = nprimes
-    return 1.0 / (n * math.log(n) ** 2)
+    return 1.0 / (nprimes * math.log(nprimes) ** 2)
 
 
 def constant_C(d: int, digits: int = 12, prime_limit: int | None = None) -> ConstantValue:
@@ -552,6 +550,7 @@ def residue_constant_check(d: int, a: int, prime_limit: int = 10_000_000) -> Res
     """The Dirichlet-residue identity at s = 1: the displayed convergent
     product times prod_{p|a}(1 - 1/p) against phi(a) C / a."""
     _check_modulus(d, a)
+    _check_prime_limit(prime_limit)
     chi = character(d)
     table = chi.residue_table()
     logsum = 0.0

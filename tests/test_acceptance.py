@@ -89,7 +89,7 @@ def test_criterion_07_census_spot_values():
 
 
 def test_criterion_08_empirical_asymptotic():
-    rows = fit_report(3, [1000, 10000, 100000], jobs=None)
+    rows = fit_report(3, [1000, 10000, 100000])
     devs = [row.rel_deviation for row in rows]
     decreasing = devs[0] > devs[1] > devs[2]
     check(

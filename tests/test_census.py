@@ -186,10 +186,10 @@ def test_infeasible_census_refused(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved before refusing")
 
-    # cap 9.5e10 is below the factorization limit, but 4.5e10 candidates at
-    # 8 bytes each do not fit in memory: refused before sieving
+    # cap 9.5e10 is below the factorization limit, but 4.5e10 candidates
+    # are past the budget of 2^34: refused before sieving
     monkeypatch.setattr(census, "prime_blocks", no_sieve)
-    with pytest.raises(ValueError, match="physical memory"):
+    with pytest.raises(ValueError, match="budget"):
         xi(3, 10**10)
 
 
@@ -204,12 +204,69 @@ def test_census_past_factorization_limit_refused(monkeypatch):
 
 
 def test_infeasible_lemma_refused(monkeypatch):
-    # a 1 MiB machine: the counting lemma's 3e5 candidates are refused unsieved
-    monkeypatch.setattr(census, "_PHYSICAL_MEMORY", 2**20)
-    with pytest.raises(ValueError, match="GiB"):
+    # a budget of 2^17: the counting lemma's 3e5 candidates are refused unsieved
+    monkeypatch.setattr(census, "_MAX_PRICED", 2**17)
+    with pytest.raises(ValueError, match="budget"):
         count_F_in_progression(3, 1, 0, 10**5)
     assert count_F_in_progression(3, 3, 0, 10) == 5
     assert xi(3, Fraction("2.2")) == 5
+
+
+class _Sieved(Exception):
+    pass
+
+
+def _sieve_raises(monkeypatch):
+    def sieved(d, segments):
+        raise _Sieved
+
+    monkeypatch.setattr(census, "weight_ratio_array", sieved)
+
+
+def test_accepted_requests_reach_the_sieve(monkeypatch):
+    # 4.4e9, 3.3e9 and 1.3e9 x 3 candidates: within the budget on any machine
+    _sieve_raises(monkeypatch)
+    for request in (
+        lambda: xi(3, 10**9),
+        lambda: count_F_in_progression(3, 1, 0, 10**9),
+        lambda: surface_counts(3, [10**8, 2 * 10**8, 3 * 10**8]),
+    ):
+        with pytest.raises(_Sieved):
+            request()
+
+
+def test_budget_is_exact_and_counts_thresholds(monkeypatch):
+    _sieve_raises(monkeypatch)
+    # the lemma prices 305468 candidates at 1 threshold
+    monkeypatch.setattr(census, "_MAX_PRICED", 305468)
+    with pytest.raises(_Sieved):
+        count_F_in_progression(3, 1, 0, 10**5)
+    monkeypatch.setattr(census, "_MAX_PRICED", 305467)
+    with pytest.raises(ValueError, match="305468 candidates at 1 threshold"):
+        count_F_in_progression(3, 1, 0, 10**5)
+    # the ladder prices 212 candidates at 2 thresholds, xi the same 212 at 1
+    xs = [Fraction(5), Fraction("99.5")]
+    monkeypatch.setattr(census, "_MAX_PRICED", 424)
+    with pytest.raises(_Sieved):
+        surface_counts(15, xs)
+    monkeypatch.setattr(census, "_MAX_PRICED", 423)
+    with pytest.raises(ValueError, match="212 candidates at 2 threshold"):
+        surface_counts(15, xs)
+    monkeypatch.setattr(census, "_MAX_PRICED", 212)
+    with pytest.raises(_Sieved):
+        xi(15, xs[1])
+
+
+def test_lemma_past_budget_refused(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    # 3.3e10 candidates, below the factorization limit, past the fixed budget
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    with pytest.raises(ValueError, match="budget") as refused:
+        count_F_in_progression(3, 1, 0, 10**10)
+    message = str(refused.value)
+    assert not any(word in message for word in ("census", "D", "memory", "GiB"))
 
 
 def test_lemma_past_factorization_limit_refused(monkeypatch):
@@ -541,6 +598,37 @@ def test_residue_constant_checks():
         assert abs(chk.product_form - chk.closed_form) <= chk.tolerance
     with pytest.raises(ValueError):
         residue_constant_check(3, 2)
+
+
+def test_prime_limit_below_four_refused_unsieved(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    def no_scan(*args):
+        raise AssertionError("scanned before refusing")
+
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    monkeypatch.setattr(census, "_windows", no_scan)
+    for limit in (-5, 0, 1, 3):
+        for request in (
+            lambda: constant_C(3, prime_limit=limit),
+            lambda: leading_constant(3, prime_limit=limit),
+            lambda: leading_constants_bundle((3,), limit),
+            lambda: residue_constant_check(3, 1, prime_limit=limit),
+            lambda: fit_report(3, [10], prime_limit=limit),
+        ):
+            with pytest.raises(ValueError, match="prime_limit must be at least 4"):
+                request()
+
+
+def test_prime_limit_four_gives_finite_bounds():
+    # the two primes 2 and 3: every tail bound is finite
+    assert math.isfinite(constant_C(3, prime_limit=4).tail_bound)
+    for rep in (leading_constant(3, prime_limit=4), leading_constants_bundle((3,), 4)[3]):
+        assert rep.prime_count == 2
+        assert math.isfinite(rep.l_main_bound) and math.isfinite(rep.l_census_bound)
+    assert math.isfinite(residue_constant_check(3, 1, prime_limit=4).tolerance)
+    assert all(math.isfinite(row.leading) for row in fit_report(3, [10], prime_limit=4))
 
 
 def test_fit_report_interface():

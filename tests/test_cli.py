@@ -2,8 +2,10 @@
 determinism."""
 
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 from bianchisurf.census import enumerate_surfaces, xi
 from bianchisurf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
@@ -79,10 +81,10 @@ def test_census_deterministic(capsys):
 
 
 def test_infeasible_census_exit_code(capsys):
-    # 4.5e10 candidates at 8 bytes each do not fit in memory
+    # 4.5e10 candidates are past the budget of 2^34
     rc, out, err = run(capsys, "census", "3", "10000000000")
     assert rc == EXIT_DOMAIN
-    assert out == "" and err.startswith("error:") and "physical memory" in err
+    assert out == "" and err.startswith("error:") and "budget" in err
 
 
 def test_lemma_past_factorization_limit_exit_code(capsys):
@@ -157,3 +159,14 @@ def test_exit_codes(capsys):
     assert rc == EXIT_USAGE
     rc, _, err = run(capsys, "verify", "counts", "classgroups")
     assert rc == EXIT_USAGE
+
+
+def test_scripts_refuse_prime_limit_below_four(capsys):
+    for name in ("constants_table", "fit_experiment"):
+        path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--prime-limit", "3"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: prime_limit must be at least 4, got 3\n"
