@@ -21,8 +21,12 @@ progression through the same sieve loop: it keeps nothing between calls and
 meets the same two refusals.  Everything runs in the calling process: xi,
 surface_counts and enumerate_surfaces ignore their `jobs` keyword.
 
-Constants are truncated Euler products over a shared segmented prime
-stream, with explicit tail certificates (Rosser's p_n > n log n).
+Constants are truncated Euler products over a segmented prime sieve, with
+explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
+summed block by block on a fixed grid of PRIME_BLOCK integers and cached
+per field at every grid point a pass crosses, so a new truncation prime
+resumes from the last checkpoint below it and each field sieves a prime
+range once; the sums are bit-identical whatever the cache held.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from .classgroup import is_admissible
 from .hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
-from .ntkernel import _FACTOR_LIMIT, PRIMES, character, divisor_stats, factorize, legendre, prime_blocks
+from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, legendre, prime_blocks
 from .volume import PI_DIGITS, ExactArea, area_closed_form, compare_to_threshold, pi_bracket
 
 DEFAULT_PRIME_LIMIT = 300_000_000
@@ -428,25 +432,40 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
     """Per-d log-sums of the main-product factor and the C factor over the
     primes below limit, with the number of primes: {d: (main, c, N)}.
 
-    Cached per (d, limit); the d not yet cached for this limit share one
-    pass over the primes."""
+    The primes are summed block by block on the grid g_k = 3 + k PRIME_BLOCK
+    (the 2 in the first block): each sum is 0.0 plus one np.sum per block,
+    in order.  A pass caches its sums at every grid point it crosses as well
+    as at limit, all under (d, point), and a d not cached at limit resumes
+    from its largest cached grid point at or below limit; the d of one call
+    share one pass, each joining at its own point.  The additions are the
+    same whatever the cache held, so the sums do not depend on its history,
+    bit for bit."""
     _check_prime_limit(limit)
     missing = [d for d in dict.fromkeys(ds) if (d, limit) not in _SUMS_CACHE]
     if missing:
+        grid = range(3, limit + 1, PRIME_BLOCK)
         tables = {d: character(d).residue_table() for d in missing}
-        sums = {d: [0.0, 0.0] for d in missing}
-        nprimes = 0
-        for block in prime_blocks(limit):
-            nprimes += len(block)
+        # each d resumes from its largest cached grid point
+        joins = {d: max((k for k, g in enumerate(grid) if (d, g) in _SUMS_CACHE), default=0) for d in missing}
+        sums = {d: list(_SUMS_CACHE.get((d, grid[k]), (0.0, 0.0, 0))) for d, k in joins.items()}
+        for block in prime_blocks(limit, PRIME_BLOCK, grid[min(joins.values())]):
+            # the block's grid index from its last prime (limit >= 4 puts 3 in block 0)
+            k = (int(block[-1]) - 3) // PRIME_BLOCK
             pf = block.astype(np.float64)
             for d in missing:
+                if joins[d] > k:
+                    continue
                 ch = tables[d][block % d].astype(np.float64)
                 x_main = ((1.0 / pf) - ch * ch - ch) / (pf * pf)
                 x_c = -ch / (pf * (pf + ch))
-                sums[d][0] += float(np.sum(np.log1p(x_main)))
-                sums[d][1] += float(np.sum(np.log1p(x_c)))
+                s = sums[d]
+                s[0] += float(np.sum(np.log1p(x_main)))
+                s[1] += float(np.sum(np.log1p(x_c)))
+                s[2] += len(block)
+                if k + 1 < len(grid):
+                    _SUMS_CACHE[d, grid[k + 1]] = tuple(s)
         for d in missing:
-            _SUMS_CACHE[d, limit] = (*sums[d], nprimes)
+            _SUMS_CACHE[d, limit] = tuple(sums[d])
     return {d: _SUMS_CACHE[d, limit] for d in ds}
 
 
@@ -466,7 +485,8 @@ def constant_C(d: int, digits: int = 12, prime_limit: int | None = None) -> Cons
     if digits < 1:
         raise ValueError(f"digits must be at least 1, got {digits}")
     if prime_limit is None:
-        prime_limit = min(2 * 10**digits + 1, DEFAULT_PRIME_LIMIT)
+        # 10**9 already passes the cap: never build 10**digits for a huge request
+        prime_limit = min(2 * 10 ** min(digits, 9) + 1, DEFAULT_PRIME_LIMIT)
     _, s_c, nprimes = _euler_log_sums((d,), prime_limit)[d]
     value = math.exp(s_c)
     tail = 2.0 / (prime_limit - 1)
@@ -548,7 +568,10 @@ class ResidueCheck:
 
 def residue_constant_check(d: int, a: int, prime_limit: int = 10_000_000) -> ResidueCheck:
     """The Dirichlet-residue identity at s = 1: the displayed convergent
-    product times prod_{p|a}(1 - 1/p) against phi(a) C / a."""
+    product times prod_{p|a}(1 - 1/p) against phi(a) C / a.
+
+    The product side runs its own literal loop over the primes and never
+    reads _SUMS_CACHE, so it stays an independent check of constant_C."""
     _check_modulus(d, a)
     _check_prime_limit(prime_limit)
     chi = character(d)

@@ -208,13 +208,22 @@ def chi(d: int, n: int) -> int:
     return character(d)(n)
 
 
-def prime_blocks(limit: int, block: int = 1 << 24) -> Iterator[np.ndarray]:
-    """Yield all primes below limit as ascending int64 arrays.
+# integers per block of prime_blocks; also the checkpoint grid of census's
+# Euler log-sums
+PRIME_BLOCK = 1 << 21
 
-    Segmented odd-only sieve; the first yielded block starts with 2.  Block
-    size is in integers covered, not primes produced.
+
+def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterator[np.ndarray]:
+    """Yield the primes p with start <= p < limit as ascending int64 arrays,
+    with the 2 as well whenever start <= 3, so the default start covers
+    every prime below limit.
+
+    Segmented odd-only sieve over the blocks [start + k block, start + (k + 1)
+    block), block in integers covered, not primes produced; every yielded
+    array lies inside one of them, except that the 2 leads the first.  Empty
+    blocks are not yielded.
     """
-    if limit <= 2:
+    if limit <= 2 or (start > 3 and start >= limit):
         return
     sq = math.isqrt(limit - 1)
     small = np.ones(sq + 1, dtype=bool)
@@ -224,22 +233,22 @@ def prime_blocks(limit: int, block: int = 1 << 24) -> Iterator[np.ndarray]:
             small[p * p :: p] = False
     base_odd = [int(p) for p in np.nonzero(small)[0] if p > 2]
 
-    first_block = True
+    two = start <= 3
     # at least one pass, so that limit = 3 still yields the 2
-    for lo in range(3, max(limit, 4), block):
+    for lo in range(start, max(limit, start + 1), block):
         hi = min(lo + block, limit)
-        first = lo if lo % 2 else lo + 1
-        seg = np.ones((hi - first + 1) // 2, dtype=bool)
+        first = max(lo | 1, 3)
+        seg = np.ones(max(hi - first + 1, 0) // 2, dtype=bool)
         for p in base_odd:
-            start = max(p * p, ((first + p - 1) // p) * p)
-            if start >= hi:
+            hit = max(p * p, ((first + p - 1) // p) * p)
+            if hit >= hi:
                 continue
-            if start % 2 == 0:
-                start += p
-            seg[(start - first) // 2 :: p] = False
+            if hit % 2 == 0:
+                hit += p
+            seg[(hit - first) // 2 :: p] = False
         primes = first + 2 * np.nonzero(seg)[0].astype(np.int64)
-        if first_block:
+        if two:
             primes = np.concatenate([np.array([2], dtype=np.int64), primes])
-            first_block = False
+            two = False
         if len(primes):
             yield primes

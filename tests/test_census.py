@@ -32,7 +32,7 @@ from bianchisurf.census import (
     xi,
 )
 from bianchisurf.hermitian import SurfaceIndex, divisors_below_sqrt
-from bianchisurf.ntkernel import character, factorize
+from bianchisurf.ntkernel import PRIME_BLOCK, character, factorize
 from bianchisurf.verify import (
     _MERTENS,
     SWEEP_DS,
@@ -534,7 +534,7 @@ def test_thresholds_inside_guard_band(d):
 def test_one_weight_array_build_per_request(monkeypatch):
     sieved = []
     prime_blocks = census.prime_blocks
-    monkeypatch.setattr(census, "prime_blocks", lambda cap: sieved.append(cap) or prime_blocks(cap))
+    monkeypatch.setattr(census, "prime_blocks", lambda *args: sieved.append(args) or prime_blocks(*args))
     xi(15, Fraction("99.5"))
     assert len(sieved) == 1
 
@@ -565,11 +565,81 @@ def test_euler_log_sums_cached_per_field(monkeypatch):
     bundle = leading_constants_bundle(SWEEP_DS, L)
     sieved = []
     prime_blocks = census.prime_blocks
-    monkeypatch.setattr(census, "prime_blocks", lambda cap: sieved.append(cap) or prime_blocks(cap))
+    monkeypatch.setattr(census, "prime_blocks", lambda *args: sieved.append(args) or prime_blocks(*args))
     assert constant_C(3, prime_limit=L) == fresh_C
     assert leading_constant(3, L) == fresh[3]
     assert bundle == fresh
     assert sieved == []
+
+
+_GRID_LIMITS = st.one_of(
+    st.integers(4, 3 * 10**7),
+    st.builds(lambda k, e: 3 + k * PRIME_BLOCK + e, st.integers(1, 14), st.sampled_from((-1, 0, 1))),
+)
+
+
+_FIELD_SETS = st.sampled_from(((3,), (4,), (7,), (15,), (3, 15), (4, 7, 15), (15, 3, 7, 4)))
+
+
+@given(st.lists(st.tuples(_FIELD_SETS, _GRID_LIMITS), min_size=1, max_size=3))
+@settings(max_examples=8, deadline=None)
+def test_euler_log_sums_independent_of_cache_history(calls):
+    def bits(sums):
+        return {d: (main.hex(), c.hex(), n) for d, (main, c, n) in sums.items()}
+
+    saved = dict(census._SUMS_CACHE)
+    census._SUMS_CACHE.clear()
+    try:
+        for ds, limit in calls:
+            got = bits(census._euler_log_sums(ds, limit))
+            warm = dict(census._SUMS_CACHE)
+            census._SUMS_CACHE.clear()
+            assert got == bits(census._euler_log_sums(ds, limit))
+            census._SUMS_CACHE.update(warm)
+    finally:
+        census._SUMS_CACHE.clear()
+        census._SUMS_CACHE.update(saved)
+
+
+def test_log_sums_resume_from_grid_checkpoint(monkeypatch):
+    seen = []
+    prime_blocks = census.prime_blocks
+
+    def spy(limit, block, start=3):
+        seen.append((limit, start))
+        return prime_blocks(limit, block, start)
+
+    monkeypatch.setattr(census, "_SUMS_CACHE", {})
+    monkeypatch.setattr(census, "prime_blocks", spy)
+    constant_C(3, prime_limit=2 * 10**7 + 1)
+    rep = leading_constant(3, 2 * 10**7 + 12345)
+    # 15 starts from scratch, and 3 joins the same pass at its checkpoint
+    bundle = leading_constants_bundle((15, 3), 2 * 10**7 + 54321)
+    assert seen[0] == (2 * 10**7 + 1, 3) and seen[2] == (2 * 10**7 + 54321, 3)
+    limit, start = seen[1]
+    assert limit == 2 * 10**7 + 12345 and 0 < limit - start < PRIME_BLOCK
+    census._SUMS_CACHE.clear()
+    assert leading_constant(3, 2 * 10**7 + 12345) == rep
+    census._SUMS_CACHE.clear()
+    assert leading_constants_bundle((15, 3), 2 * 10**7 + 54321) == bundle
+
+
+def test_huge_digit_request_gets_default_cap(monkeypatch):
+    # 10**digits is never built: a billion digits returns at once
+    monkeypatch.setattr(census, "_euler_log_sums", lambda ds, limit: {d: (0.0, 0.0, 2) for d in ds})
+    for digits, limit in ((8, 2 * 10**8 + 1), (9, census.DEFAULT_PRIME_LIMIT), (10**9, census.DEFAULT_PRIME_LIMIT)):
+        assert constant_C(3, digits).truncation_prime == limit
+
+
+def test_residue_check_reads_no_cached_sums(monkeypatch):
+    L = 1_000_000
+    monkeypatch.setattr(census, "_SUMS_CACHE", {})
+    honest = residue_constant_check(3, 3, prime_limit=L)
+    for key, (_, _, n) in list(census._SUMS_CACHE.items()):
+        census._SUMS_CACHE[key] = (0.0, 0.0, n)
+    poisoned = residue_constant_check(3, 3, prime_limit=L)
+    assert poisoned.closed_form != honest.closed_form  # constant_C reads the cache
+    assert poisoned.product_form == honest.product_form
 
 
 def test_constant_C_insensitive_to_d_side_primes():

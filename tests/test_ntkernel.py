@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchisurf.ntkernel import (
+    PRIME_BLOCK,
     PRIMES,
     QuadraticCharacter,
     character,
@@ -69,8 +70,23 @@ def test_prime_blocks_agree_with_table():
 def test_prime_blocks_small_limits():
     for limit in range(61):
         naive = [n for n in range(2, limit) if all(n % k for k in range(2, n))]
-        for block in (2, 7, 1 << 24):
+        for block in (2, 7, PRIME_BLOCK):
             assert [int(p) for b in prime_blocks(limit, block) for p in b] == naive
+
+
+def test_prime_blocks_start():
+    # the primes in [start, limit), and the 2 whenever start <= 3; each block
+    # inside one [start + k block, start + (k + 1) block), bar the leading 2
+    for limit in range(61):
+        for start in (0, 2, 3, 4, 5, 9, 10):
+            naive = [n for n in range(2, limit) if all(n % k for k in range(2, n)) and (n >= start or start <= 3)]
+            for block in (2, 7, PRIME_BLOCK):
+                blocks = [b.tolist() for b in prime_blocks(limit, block, start)]
+                assert [p for b in blocks for p in b] == naive
+                assert all(b for b in blocks)
+                for i, b in enumerate(blocks):
+                    inner = b[1:] if i == 0 and b[0] == 2 else b
+                    assert len({(p - start) // block for p in inner}) <= 1
 
 
 def test_legendre_basics():
