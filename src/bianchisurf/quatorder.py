@@ -151,6 +151,22 @@ class QuaternionOrder:
             for u in rows
         )
 
+    @cached_property
+    def reduced_discriminant(self) -> int:
+        """Square root of |det gram|, computed once per order; read it
+        through the module function `reduced_discriminant(order)`."""
+        det = _det4(self.gram)
+        adet = abs(det)
+        root = isqrt(adet)
+        if root * root != adet:
+            raise ValueError(f"internal consistency: trace-form determinant {det} is not a square")
+        return root
+
+    @cached_property
+    def quadratic_forms(self) -> tuple[_Form, _Form]:
+        """The (Delta, nrd) forms of `_quadratic_forms`, built once per order."""
+        return _quadratic_forms(self)
+
 
 def lattice_params(a: int, b: int, c0: int, d: int, d0: int) -> tuple[int, int, int]:
     """Upper-triangular basis [[alpha1, beta], [0, alpha2]] of the lattice
@@ -235,13 +251,9 @@ def _adjugate4(m) -> list[list[int]]:
 
 
 def reduced_discriminant(order: QuaternionOrder) -> int:
-    """Square root of |det trd(e_i conj(e_j))|; errors if not a square."""
-    det = _det4(order.gram)
-    adet = abs(det)
-    root = isqrt(adet)
-    if root * root != adet:
-        raise ValueError(f"internal consistency: trace-form determinant {det} is not a square")
-    return root
+    """Square root of |det trd(e_i conj(e_j))|; errors if not a square.
+    The determinant is taken once per order (QuaternionOrder.reduced_discriminant)."""
+    return order.reduced_discriminant
 
 
 def _coordinate_map(order: QuaternionOrder) -> tuple[list[list[int]], int]:
@@ -355,28 +367,43 @@ def _form_values(f: list[list[int]], ks, mod: int = 0):
     return val % mod if mod else val
 
 
-def _line_residues(f: list[list[int]], p: int) -> np.ndarray:
-    """Boolean table over F_p of the values of f mod p at one representative
-    of every line of F_p^4: (1,a,b,c), (0,1,b,c), (0,0,1,c), (0,0,0,1).
+def _line_residues(f: _Form, p: int) -> np.ndarray:
+    """Boolean table over F_p of the values of f mod p (p odd) at one
+    representative of every line of F_p^4: (1,a,b,c), (0,1,b,c), (0,0,1,c),
+    (0,0,0,1).
 
-    The first family runs one p x p slice per c:
-    f(1,a,b,c) = P(a,b) + c L(a,b) + f33 c^2 with P, L and f33 reduced
-    mod p.  The slice is left unreduced, below p^2, and marks a table of
-    p^2 entries whose rows are folded mod p at the end."""
+    In the first three families a head h = (1,a,b), (0,1,b) or (0,0,1) is
+    followed by a free last coordinate c, and f(h, c) = P(h) + c L(h) +
+    f33 c^2 with P, L and f33 reduced mod p.  Over c in F_p this takes:
+      - K(h) + f33 Sq when f33 != 0, where K = P - L^2 (4 f33)^-1 and Sq is
+        the set of squares mod p, 0 included: f33 c^2 + L c equals
+        f33 (c + L/(2 f33))^2 - L^2/(4 f33), and c -> c + L/(2 f33)
+        permutes F_p;
+      - every residue when f33 = 0 and L(h) != 0;
+      - P(h) alone when f33 = L(h) = 0.
+    So a family's values are the sumset of the at most p distinct values of
+    K with f33 Sq, (p + 1)/2 entries, or all of F_p, or the values of P:
+    O(p^2) work per family in place of the O(p^3) of running every c."""
     ar = np.arange(p, dtype=np.int64)
     a, b = np.meshgrid(ar, ar, indexing="ij", sparse=True)
-    hit = np.zeros(p * p, dtype=bool)
-    P = _form_values(f, (1, a, b, 0), p)
-    L = (f[0][3] % p + (f[1][3] % p) * a + (f[2][3] % p) * b) % p
     f33 = f[3][3] % p
-    cur = np.broadcast_to(P, (p, p)).copy()  # P + c L
-    for c in range(p):
-        hit[cur + f33 * c * c % p] = True
-        cur += L
-    hit[_form_values(f, (0, 1, a, b), p)] = True
-    hit[_form_values(f, (0, 0, 1, ar), p)] = True
-    hit[_form_values(f, (0, 0, 0, 1), p)] = True
-    return hit.reshape(p, p).any(axis=0)
+    hit = np.zeros(p, dtype=bool)
+    hit[f33] = True  # (0, 0, 0, 1)
+    if f33:
+        inv = pow(4 * f33, -1, p)
+        shifts = f33 * np.unique(ar * ar % p)
+    for head in ((1, a, b), (0, 1, ar), (0, 0, 1)):
+        P = _form_values(f, head + (0,), p)
+        L = sum((f[i][3] % p) * k for i, k in enumerate(head)) % p
+        if f33:
+            K = np.zeros(p, dtype=bool)
+            K[(P - L * L % p * inv) % p] = True
+            hit[(np.flatnonzero(K)[:, None] + shifts) % p] = True
+        elif np.any(L):
+            return np.ones(p, dtype=bool)
+        else:
+            hit[P] = True
+    return hit
 
 
 def _qr_table(p: int) -> np.ndarray:
@@ -418,14 +445,22 @@ def _local_value_sets(forms: tuple[_Form, _Form], p: int) -> tuple[frozenset, fr
     return d_seen, n_seen
 
 
+def _check_order_prime(order: QuaternionOrder, p: int) -> None:
+    """The brute-force route's guard, read from the order alone: p is prime
+    and divides its reduced discriminant."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    drd = reduced_discriminant(order)
+    if drd % p:
+        raise ValueError(f"p = {p} does not divide the reduced discriminant {drd}")
+
+
 def eichler_symbol_bruteforce(order: QuaternionOrder, p: int) -> int:
     """Symbol from the value set of (Delta(alpha)/p) over the local order:
     {0} -> 0, {0, e} -> e; a full value set means the order is not
     residually determined at p and is reported as an error."""
-    drd = reduced_discriminant(order)
-    if drd % p:
-        raise ValueError(f"p = {p} does not divide the reduced discriminant {drd}")
-    seen = set(_local_value_sets(_quadratic_forms(order), p)[0])
+    _check_order_prime(order, p)
+    seen = set(_local_value_sets(order.quadratic_forms, p)[0])
     if seen == {0}:
         return 0
     if seen == {0, 1}:
@@ -440,10 +475,8 @@ def nrd_index_bruteforce(order: QuaternionOrder, p: int) -> int:
     squares only -> 2, all units -> 1."""
     if p == 2:
         raise ValueError("norm-index brute force is defined for odd p only")
-    drd = reduced_discriminant(order)
-    if drd % p:
-        raise ValueError(f"p = {p} does not divide the reduced discriminant {drd}")
-    nonzero = set(_local_value_sets(_quadratic_forms(order), p)[1]) - {0}
+    _check_order_prime(order, p)
+    nonzero = set(_local_value_sets(order.quadratic_forms, p)[1]) - {0}
     if nonzero == {1}:
         return 2
     if nonzero == {1, -1}:
@@ -480,7 +513,7 @@ def norm_one_elements(order: QuaternionOrder, bound: int = 10, limit: int = 20) 
     """Order elements of reduced norm 1 with basis coordinates in
     [-bound, bound], excluding +-1, in deterministic scan order."""
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    Q = _form_values(_quadratic_forms(order)[1], np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True))
+    Q = _form_values(order.quadratic_forms[1], np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True))
     hits = np.argwhere(Q == 1)
     out = []
     for idx in hits:

@@ -1,20 +1,24 @@
 """Order construction, local data (closed form and brute force), and the
 matrix representations."""
 
+import itertools
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bianchisurf import quatorder
 from bianchisurf.hermitian import HermitianCircle, Mat2, SurfaceIndex, pullback_circle
 from bianchisurf.ntkernel import factorize, legendre
 from bianchisurf.quatorder import (
     QuatElement,
     QuaternionAlgebra,
     QuaternionOrder,
+    _line_residues,
     _local_value_sets,
     _quadratic_forms,
     build_order,
@@ -161,6 +165,119 @@ def test_value_sets_match_full_grid():
                     assert _local_value_sets(_quadratic_forms(order), p) == naive_value_sets(order, p), (d, m, c, p)
                     checked.add(p)
     assert checked == {2, 3, 5, 7, 11, 13}
+
+
+@lru_cache(maxsize=None)
+def line_representatives(p):
+    """Every representative (0,..,0,1,*,..,*) of a line of F_p^4, as rows."""
+    return np.array(
+        [(0,) * lead + (1,) + tail for lead in range(4) for tail in itertools.product(range(p), repeat=3 - lead)],
+        dtype=np.int64,
+    )
+
+
+def naive_line_residues(f, p):
+    """Which residues f takes mod p over all line representatives."""
+    ks = line_representatives(p)
+    vals = sum((f[i][j] % p) * ks[:, i] * ks[:, j] for i in range(4) for j in range(i, 4)) % p
+    table = np.zeros(p, dtype=bool)
+    table[vals] = True
+    return table
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+COEFF = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def forms_with_last_coordinate(draw, case):
+    """(f, p): an odd prime p <= 31 and an upper-triangular integer form f.
+
+    Mod p, f starts as a sum of at most two terms lambda (u . k)^2, so that
+    many value sets are partial.  Then only its last column is changed, so
+    that f33 and L = (f03, f13, f23) mod p fall in the asked case:
+    "square" f33 != 0; "line" f33 = 0 and L != 0; "flat" f33 = L = 0.
+    Last, every coefficient is shifted by a random multiple of p."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    residue = st.integers(0, p - 1)
+    f = [[0] * 4 for _ in range(4)]
+    for _ in range(draw(st.integers(0, 2))):
+        lam, u = draw(residue), [draw(residue) for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                f[i][j] += (1 if i == j else 2) * lam * u[i] * u[j]
+    last = [f[i][3] % p for i in range(4)]
+    if case == "square" and not last[3]:
+        f[3][3] += draw(st.integers(1, p - 1))
+    if case != "square":
+        f[3][3] -= last[3]
+    if case == "flat":
+        for i in range(3):
+            f[i][3] -= last[i]
+    if case == "line" and not any(last[:3]):
+        f[draw(st.integers(0, 2))][3] += draw(st.integers(1, p - 1))
+    return tuple(tuple(v + p * draw(COEFF) if j >= i else 0 for j, v in enumerate(row)) for i, row in enumerate(f)), p
+
+
+@pytest.mark.parametrize("case", ["square", "line", "flat"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_residues_match_every_line(case, data):
+    f, p = data.draw(forms_with_last_coordinate(case))
+    assert _line_residues(f, p).tolist() == naive_line_residues(f, p).tolist()
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_bruteforce_rejects_non_prime(p, monkeypatch):
+    order = build_order(pullback_circle(SurfaceIndex(3, 0, -12, 1)))
+    assert reduced_discriminant(order) == 36  # divisible by 4 and 9
+
+    def no_value_sets(*args):
+        raise AssertionError("value sets built for a non-prime p")
+
+    monkeypatch.setattr(quatorder, "_local_value_sets", no_value_sets)
+    for route in (eichler_symbol_bruteforce, nrd_index_bruteforce):
+        with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+            route(order, p)
+
+
+def brute_local_data(order):
+    """A dual-route pass over one order: its reduced discriminant, then the
+    brute-force symbol and norm index at every prime of it, re-reading the
+    reduced discriminant after each prime."""
+    drd = reduced_discriminant(order)
+    out = [drd]
+    for p, _ in factorize(drd).factors:
+        out.append((p, eichler_symbol_bruteforce(order, p)))
+        if p != 2:
+            out.append((p, nrd_index_bruteforce(order, p)))
+        out.append(reduced_discriminant(order))
+    return out
+
+
+def test_order_data_built_once_per_order(monkeypatch):
+    calls = {"_det4": 0, "_quadratic_forms": 0}
+
+    def spy(name):
+        real = getattr(quatorder, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(quatorder, name, spy(name))
+    idx = SurfaceIndex(15, 0, -14, 1)  # reduced discriminant 210 = 2 3 5 7
+    order = build_order(pullback_circle(idx))
+    seen = brute_local_data(order)
+    assert calls == {"_det4": 1, "_quadratic_forms": 1}
+    monkeypatch.undo()
+    fresh = build_order(pullback_circle(idx))
+    assert seen[0] == 210
+    assert seen == brute_local_data(fresh)
+    assert order.quadratic_forms == quatorder._quadratic_forms(fresh)
 
 
 def test_order_coordinates_roundtrip():
