@@ -9,6 +9,7 @@ exact integers; numpy appears only inside sieves and block enumeration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -48,12 +49,7 @@ def is_prime(n: int) -> bool:
         return int(_SPF[n]) == n
     if n >= _FACTOR_LIMIT:
         raise ValueError(f"is_prime supports n < {_FACTOR_LIMIT}, got {n}")
-    for p in PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
-    return True
+    return factorize(n).factors == ((n, 1),)
 
 
 @dataclass(frozen=True)
@@ -222,16 +218,16 @@ def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterat
     block), block in integers covered, not primes produced; every yielded
     array lies inside one of them, except that the 2 leads the first.  Empty
     blocks are not yielded.
+
+    The sieving primes are read from PRIMES, which holds every one up to
+    sqrt(limit) while limit <= 1e12; a larger limit is refused before any
+    block is yielded.
     """
+    if limit > _FACTOR_LIMIT:
+        raise ValueError(f"prime_blocks supports limit <= {_FACTOR_LIMIT}, got {limit}")
     if limit <= 2 or (start > 3 and start >= limit):
         return
-    sq = math.isqrt(limit - 1)
-    small = np.ones(sq + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(sq) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    base_odd = [int(p) for p in np.nonzero(small)[0] if p > 2]
+    base_odd = PRIMES[1 : bisect_right(PRIMES, math.isqrt(limit - 1))]
 
     two = start <= 3
     # at least one pass, so that limit = 3 still yields the 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -113,9 +113,21 @@ class OrderParams:
 
 @dataclass(frozen=True)
 class QuaternionOrder:
+    """A rank-4 lattice of the algebra given by its basis scaled to integers:
+    rows[i] holds the coordinates (t, x, y, z) of N e_i in the basis
+    1, i, j, ij.  The rows are lower-triangular (rows[i][k] = 0 for k > i)
+    with a nonzero diagonal, which closure_defect's back-substitution reads;
+    every other datum of the order is derived from (N, rows)."""
+
     algebra: QuaternionAlgebra
-    basis: tuple[QuatElement, QuatElement, QuatElement, QuatElement]
+    N: int
+    rows: tuple[tuple[int, int, int, int], ...]
     params: OrderParams
+
+    def __post_init__(self) -> None:
+        triangular = not any(row[k] for i, row in enumerate(self.rows) for k in range(i + 1, 4))
+        if self.N < 1 or not triangular or not all(row[i] for i, row in enumerate(self.rows)):
+            raise ValueError("rows must be lower-triangular with a nonzero diagonal, and N positive")
 
     @property
     def d(self) -> int:
@@ -126,21 +138,15 @@ class QuaternionOrder:
         return self.algebra.D
 
     @cached_property
-    def scaled_basis(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """(N, rows): N is the common denominator of the basis coordinates
-        and rows[i] holds the integer coordinates (t, x, y, z) of N e_i."""
-        N = lcm(*(c.denominator for e in self.basis for c in e.coords()))
-        rows = tuple(
-            tuple(c.numerator * (N // c.denominator) for c in e.coords())
-            for e in self.basis
-        )
-        return N, rows
+    def basis(self) -> tuple[QuatElement, ...]:
+        """The rational basis e_i = rows[i] / N as quaternion elements."""
+        return tuple(QuatElement(self.algebra, *(Fraction(c, self.N) for c in row)) for row in self.rows)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """The integer trace form trd(e_i conj(e_j)), computed once from
-        the scaled basis: 2(tt' - a xx' - b yy' + ab zz') divided by N^2."""
-        N, rows = self.scaled_basis
+        the rows: 2(tt' - a xx' - b yy' + ab zz') divided by N^2."""
+        N, rows = self.N, self.rows
         al, be = self.algebra.a_alg, self.algebra.b_alg
         weights = (2, -2 * al, -2 * be, 2 * al * be)
         return tuple(
@@ -190,7 +196,8 @@ def lattice_params(a: int, b: int, c0: int, d: int, d0: int) -> tuple[int, int, 
 
 def build_order(circle: HermitianCircle) -> QuaternionOrder:
     """The order Z[1, alpha1(1+i)/2, beta(1+i)/2 + alpha2(bi+j)/a,
-    (-bd - bi - j + ij)/(2 d0)] inside (-d, D/Q)."""
+    (-bd - bi - j + ij)/(2 d0)] inside (-d, D/Q), written as integer rows
+    scaled by N = 2 a d0."""
     d, a, b, c0 = circle.d, circle.a, circle.b, circle.c0
     D = b * b * d - a * c0
     if D <= 0:
@@ -201,25 +208,14 @@ def build_order(circle: HermitianCircle) -> QuaternionOrder:
         raise ValueError("circle coefficients are not coprime")
     d0 = gcd(gcd(a, d), c0)
     alpha1, alpha2, beta = lattice_params(a, b, c0, d, d0)
-    alg = QuaternionAlgebra(-d, D)
-    half = Fraction(1, 2)
-    e0 = QuatElement.of(alg, 1)
-    e1 = QuatElement(alg, alpha1 * half, alpha1 * half, Fraction(0), Fraction(0))
-    e2 = QuatElement(
-        alg,
-        beta * half,
-        beta * half + Fraction(alpha2 * b, a),
-        Fraction(alpha2, a),
-        Fraction(0),
+    rows = (
+        (2 * a * d0, 0, 0, 0),
+        (alpha1 * a * d0, alpha1 * a * d0, 0, 0),
+        (beta * a * d0, beta * a * d0 + 2 * alpha2 * b * d0, 2 * alpha2 * d0, 0),
+        (-a * b * d, -a * b, -a, a),
     )
-    e3 = QuatElement(
-        alg,
-        Fraction(-b * d, 2 * d0),
-        Fraction(-b, 2 * d0),
-        Fraction(-1, 2 * d0),
-        Fraction(1, 2 * d0),
-    )
-    return QuaternionOrder(alg, (e0, e1, e2, e3), OrderParams(alpha1, alpha2, beta, d0, b, a, c0))
+    params = OrderParams(alpha1, alpha2, beta, d0, b, a, c0)
+    return QuaternionOrder(QuaternionAlgebra(-d, D), 2 * a * d0, rows, params)
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -246,50 +242,39 @@ def _det4(m) -> int:
     return sum((-1) ** j * m[0][j] * _det3(_minor(m, 0, j)) for j in range(4))
 
 
-def _adjugate4(m) -> list[list[int]]:
-    return [[(-1) ** (i + j) * _det3(_minor(m, j, i)) for j in range(4)] for i in range(4)]
-
-
 def reduced_discriminant(order: QuaternionOrder) -> int:
     """Square root of |det trd(e_i conj(e_j))|; errors if not a square.
     The determinant is taken once per order (QuaternionOrder.reduced_discriminant)."""
     return order.reduced_discriminant
 
 
-def _coordinate_map(order: QuaternionOrder) -> tuple[list[list[int]], int]:
-    """(adj, den) with the basis coordinates of an element x equal to
-    adj (N^2 x) / den: adj is the adjugate of the matrix whose columns are
-    the scaled basis vectors N e_j, and den = N det."""
-    N, rows = order.scaled_basis
-    cols = [list(col) for col in zip(*rows)]
-    det = _det4(cols)
-    if det == 0:
-        raise ValueError("basis vectors are linearly dependent")
-    return _adjugate4(cols), N * det
+def _lattice_coordinates(rows, w, scale: int) -> tuple[int, ...] | None:
+    """The integers c with scale * sum_k c_k rows[k] = w, by back-substitution
+    on the lower-triangular rows from the last coordinate down; None as soon
+    as one is not an integer, i.e. when w / scale is not in the lattice the
+    rows span."""
+    c = [0, 0, 0, 0]
+    for m in (3, 2, 1, 0):
+        rest = w[m] - scale * sum(c[k] * rows[k][m] for k in range(m + 1, 4))
+        c[m], r = divmod(rest, scale * rows[m][m])
+        if r:
+            return None
+    return tuple(c)
 
 
 def closure_defect(order: QuaternionOrder) -> list[tuple[int, int]]:
     """Pairs (i, j) whose basis product fails to have integer coordinates;
-    empty for a genuine order."""
-    _, rows = order.scaled_basis
-    adj, den = _coordinate_map(order)
+    empty for a genuine order.  N e_i times N e_j is N^2 e_i e_j, so e_i e_j
+    lies in the lattice iff that product is N times an integer combination
+    of the rows."""
+    N, rows = order.N, order.rows
     al, be = order.algebra.a_alg, order.algebra.b_alg
-    bad = []
-    for i, u in enumerate(rows):
-        for j, v in enumerate(rows):
-            w = _quat_mul(al, be, u, v)  # = N^2 e_i e_j
-            if any(sum(a * x for a, x in zip(arow, w)) % den for arow in adj):
-                bad.append((i, j))
-    return bad
-
-
-def order_coordinates(order: QuaternionOrder, elem: QuatElement) -> tuple[Fraction, ...]:
-    """Coordinates of elem in the order basis (rational in general)."""
-    N, _ = order.scaled_basis
-    adj, den = _coordinate_map(order)
-    return tuple(
-        Fraction(N * N * sum(a * x for a, x in zip(arow, elem.coords())), den) for arow in adj
-    )
+    return [
+        (i, j)
+        for i, u in enumerate(rows)
+        for j, v in enumerate(rows)
+        if _lattice_coordinates(rows, _quat_mul(al, be, u, v), N) is None
+    ]
 
 
 # --- closed-form local data ---------------------------------------------
@@ -327,27 +312,22 @@ def nrd_index(d: int, D: int, d0: int, p: int) -> int:
 # --- brute-force local data ---------------------------------------------
 
 
-def integral_form_coefficients(order: QuaternionOrder) -> tuple[list[int], list[int], dict[tuple[int, int], int]]:
-    """(trace vector, norm diagonal, off-diagonal trace pairings), all
-    integers, describing T(k) = sum k_i trd(e_i) and the norm form
-    Q(k) = sum nrd(e_i) k_i^2 + sum_{i<j} trd(e_i conj(e_j)) k_i k_j."""
-    N, rows = order.scaled_basis
-    gram = order.gram
-    tvec = [_exact_div(2 * u[0], N, "basis trace") for u in rows]
-    ndiag = [_exact_div(gram[i][i], 2, "basis norm") for i in range(4)]
-    cross = {(i, j): gram[i][j] for i in range(4) for j in range(i + 1, 4)}
-    return tvec, ndiag, cross
-
-
 _Form = tuple[tuple[int, ...], ...]
 
 
 def _quadratic_forms(order: QuaternionOrder) -> tuple[_Form, _Form]:
     """Upper-triangular integer coefficients f[i][j] (i <= j) of the forms
     Delta = T^2 - 4Q and Q in the basis coordinates k, as nested tuples so
-    that they can key the value-set cache."""
-    tvec, ndiag, cross = integral_form_coefficients(order)
-    norm = tuple(tuple(ndiag[i] if i == j else cross.get((i, j), 0) for j in range(4)) for i in range(4))
+    that they can key the value-set cache.  T(k) = sum k_i trd(e_i) with
+    trd(e_i) = 2 rows[i][0] / N, and the norm form
+    Q(k) = sum nrd(e_i) k_i^2 + sum_{i<j} trd(e_i conj(e_j)) k_i k_j
+    reads nrd(e_i) = gram[i][i] / 2 and the pairings off gram."""
+    gram = order.gram
+    tvec = [_exact_div(2 * row[0], order.N, "basis trace") for row in order.rows]
+    norm = tuple(
+        tuple(_exact_div(gram[i][i], 2, "basis norm") if i == j else gram[i][j] if j > i else 0 for j in range(4))
+        for i in range(4)
+    )
     delta = tuple(
         tuple((1 if i == j else 2) * tvec[i] * tvec[j] - 4 * norm[i][j] if j >= i else 0 for j in range(4))
         for i in range(4)

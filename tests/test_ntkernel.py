@@ -89,6 +89,23 @@ def test_prime_blocks_start():
                     assert len({(p - start) // block for p in inner}) <= 1
 
 
+def test_prime_blocks_refuses_past_factor_limit():
+    top = 10**12  # PRIMES reaches sqrt(limit) up to here
+    assert [b.tolist() for b in prime_blocks(top, PRIME_BLOCK, top - 20)] == [[999_999_999_989]]
+    # [top - 20, top + 40) holds the primes 1e12 - 11 and 1e12 + 39: the
+    # refusal comes from the first next(), in place of their block
+    blocks = prime_blocks(top + 40, PRIME_BLOCK, top - 20)
+    with pytest.raises(ValueError, match=f"limit <= {top}"):
+        next(blocks)
+
+
+def test_is_prime_above_the_sieve():
+    for n in (10**6 + 3, 999_999_999_989, 10**9 + 7):
+        assert is_prime(n)
+    for n in (10**6 + 1, 999_983 * 999_979, 2 * (10**9 + 7), 999_983**2):
+        assert not is_prime(n)
+
+
 def test_legendre_basics():
     assert legendre(2, 3) == -1
     assert legendre(1, 7) == 1

@@ -18,6 +18,7 @@ from bianchisurf.quatorder import (
     QuatElement,
     QuaternionAlgebra,
     QuaternionOrder,
+    _lattice_coordinates,
     _line_residues,
     _local_value_sets,
     _quadratic_forms,
@@ -25,13 +26,11 @@ from bianchisurf.quatorder import (
     closure_defect,
     eichler_symbol_bruteforce,
     eichler_symbol_closed,
-    integral_form_coefficients,
     lattice_params,
     matrix_rep,
     norm_one_elements,
     nrd_index,
     nrd_index_bruteforce,
-    order_coordinates,
     reduced_discriminant,
     rho_prime,
 )
@@ -111,27 +110,111 @@ def fraction_gram(order):
     return [[(ei * ej.conjugate()).trd() for ej in order.basis] for ei in order.basis]
 
 
+def form_value(f, ks):
+    """sum_{i<=j} f[i][j] k_i k_j for an upper-triangular form f."""
+    return sum(f[i][j] * ks[i] * ks[j] for i in range(4) for j in range(i, 4))
+
+
+def combination(order, ks):
+    """sum k_i e_i by rational quaternion arithmetic."""
+    e = order.basis[0].scale(ks[0])
+    for k, b in zip(ks[1:], order.basis[1:]):
+        e = e + b.scale(k)
+    return e
+
+
+def assert_forms_match_elements(order, ks):
+    delta_form, norm_form = order.quadratic_forms
+    e = combination(order, ks)
+    assert form_value(norm_form, ks) == e.nrd()
+    assert form_value(delta_form, ks) == e.trd() ** 2 - 4 * e.nrd() == e.delta()
+
+
 @given(st.sampled_from(SMALL_CIRCLES), st.lists(st.integers(-50, 50), min_size=4, max_size=4))
 def test_integer_order_data_matches_fraction_reference(idx, ks):
     order = build_order(pullback_circle(idx))
     assert order.gram == tuple(tuple(row) for row in fraction_gram(order))
-    tvec, ndiag, cross = integral_form_coefficients(order)
-    e = order.basis[0].scale(ks[0])
-    for k, b in zip(ks[1:], order.basis[1:]):
-        e = e + b.scale(k)
-    assert e.trd() == sum(k * t for k, t in zip(ks, tvec))
-    Q = sum(ndiag[i] * ks[i] * ks[i] for i in range(4))
-    Q += sum(v * ks[i] * ks[j] for (i, j), v in cross.items())
-    assert e.nrd() == Q
+    assert_forms_match_elements(order, ks)
+
+
+def paper_basis(order):
+    """1, alpha1(1+i)/2, beta(1+i)/2 + alpha2(bi+j)/a and
+    (-bd - bi - j + ij)/(2 d0), built by quaternion arithmetic."""
+    alg, p = order.algebra, order.params
+    one, i, j = QuatElement.of(alg, 1), QuatElement.of(alg, 0, 1), QuatElement.of(alg, 0, 0, 1)
+    half_one_i = (one + i).scale(Fraction(1, 2))
+    return (
+        one,
+        half_one_i.scale(p.alpha1),
+        half_one_i.scale(p.beta) + (i.scale(p.b) + j).scale(Fraction(p.alpha2, p.a)),
+        (one.scale(-p.b * order.d) - i.scale(p.b) - j + i * j).scale(Fraction(1, 2 * p.d0)),
+    )
+
+
+def test_rows_are_the_paper_basis():
+    for d in (3, 7, 15):
+        for idx, _, _ in surfaces_under(d, 60):
+            order = build_order(pullback_circle(idx))
+            assert order.basis == paper_basis(order), idx
+
+
+def with_row_halved(order, i):
+    """The lattice with e_i halved: N doubled, every other row doubled."""
+    rows = tuple(row if k == i else tuple(2 * c for c in row) for k, row in enumerate(order.rows))
+    return QuaternionOrder(order.algebra, 2 * order.N, rows, order.params)
 
 
 def test_closure_defect_detects_unclosed_lattice():
     order = build_order(pullback_circle(SurfaceIndex(15, 2, -1, 1)))
     assert closure_defect(order) == []
-    halved = (order.basis[0].scale(Fraction(1, 2)),) + order.basis[1:]
-    lattice = QuaternionOrder(order.algebra, halved, order.params)
-    defect = closure_defect(lattice)
+    defect = closure_defect(with_row_halved(order, 0))
     assert (0, 0) in defect  # 1/2 * 1/2 = 1/4 is not in the lattice
+
+
+def test_order_rows_must_be_lower_triangular():
+    order = build_order(pullback_circle(SurfaceIndex(3, 1, -1, 1)))
+    rows = order.rows
+    for bad_N, bad_rows in (
+        (order.N, (rows[1], rows[0]) + rows[2:]),  # a nonzero entry above the diagonal
+        (order.N, rows[:2] + ((1, 1, 0, 0),) + rows[3:]),  # a zero on the diagonal
+        (0, rows),
+    ):
+        with pytest.raises(ValueError, match="lower-triangular"):
+            QuaternionOrder(order.algebra, bad_N, bad_rows, order.params)
+
+
+def fraction_solve(columns, target):
+    """x with sum_k x_k columns[k] = target, by Gaussian elimination over Q."""
+    m = [[Fraction(columns[k][r]) for k in range(4)] + [Fraction(target[r])] for r in range(4)]
+    for col in range(4):
+        pivot = next(r for r in range(col, 4) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(4):
+            if r != col and m[r][col]:
+                ratio = m[r][col] / m[col][col]
+                m[r] = [a - ratio * b for a, b in zip(m[r], m[col])]
+    return [m[r][4] / m[r][r] for r in range(4)]
+
+
+def reference_defect(order):
+    """The pairs (i, j) whose product e_i e_j, taken by rational quaternion
+    arithmetic, has a non-integer coordinate in the basis."""
+    basis = order.basis
+    return [
+        (i, j)
+        for i, u in enumerate(basis)
+        for j, v in enumerate(basis)
+        if any(c.denominator != 1 for c in fraction_solve([e.coords() for e in basis], (u * v).coords()))
+    ]
+
+
+@pytest.mark.parametrize("d, m, c", [(3, 1, -1), (7, 3, 1), (15, 2, -1), (23, 5, -3)])
+def test_closure_defect_matches_fraction_reference(d, m, c):
+    order = build_order(pullback_circle(SurfaceIndex(d, m, c, 1)))
+    lattices = [order] + [with_row_halved(order, i) for i in range(4)]
+    defects = [closure_defect(lattice) for lattice in lattices]
+    assert defects == [reference_defect(lattice) for lattice in lattices]
+    assert defects[0] == [] and (0, 0) in defects[1]  # halving e_0 always breaks closure
 
 
 def naive_value_sets(order, p):
@@ -283,8 +366,10 @@ def test_order_data_built_once_per_order(monkeypatch):
 def test_order_coordinates_roundtrip():
     order = build_order(pullback_circle(SurfaceIndex(3, 1, -1, 1)))
     target = order.basis[1] + order.basis[3].scale(2) - order.basis[0]
-    coords = order_coordinates(order, target)
-    assert coords == (Fraction(-1), Fraction(1), Fraction(0), Fraction(2))
+    scaled = [order.N * c for c in target.coords()]
+    assert all(c.denominator == 1 for c in scaled)
+    assert _lattice_coordinates(order.rows, [int(c) for c in scaled], 1) == (-1, 1, 0, 2)
+    assert _lattice_coordinates(order.rows, order.rows[2], 2) is None  # e_2 / 2
 
 
 def test_eichler_symbol_closed_values():
@@ -329,17 +414,7 @@ def test_bruteforce_agrees_with_closed_form_spot():
 
 def test_integral_form_matches_elements():
     order = build_order(pullback_circle(SurfaceIndex(3, 1, -1, 1)))
-    tvec, ndiag, cross = integral_form_coefficients(order)
-    ks = (2, -1, 3, 1)
-    e = order.basis[0].scale(ks[0])
-    for k, b in zip(ks[1:], order.basis[1:]):
-        e = e + b.scale(k)
-    T = sum(k * t for k, t in zip(ks, tvec))
-    Q = sum(ndiag[i] * ks[i] * ks[i] for i in range(4))
-    for (i, j), v in cross.items():
-        Q += v * ks[i] * ks[j]
-    assert e.trd() == T
-    assert e.nrd() == Q
+    assert_forms_match_elements(order, (2, -1, 3, 1))
 
 
 def test_matrix_rep_shape_and_homomorphism():
