@@ -26,7 +26,9 @@ explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
 summed block by block on a fixed grid of PRIME_BLOCK integers and cached
 per field at every grid point a pass crosses, so a new truncation prime
 resumes from the last checkpoint below it and each field sieves a prime
-range once; the sums are bit-identical whatever the cache held.
+range once; the sums are bit-identical whatever the cache held.  Every
+constant request checks its truncation prime (4 to 10^12) and, for the
+leading constant, every field before anything is sieved.
 """
 
 from __future__ import annotations
@@ -214,6 +216,8 @@ def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
 def _check_prime_limit(prime_limit: int) -> None:
     if prime_limit < 4:  # two primes below it: 2/(P - 1) and 1/(N log^2 N) are finite
         raise ValueError(f"prime_limit must be at least 4, got {prime_limit}")
+    if prime_limit > _FACTOR_LIMIT:  # past what prime_blocks sieves
+        raise ValueError(f"prime_limit must be at most {_FACTOR_LIMIT}, got {prime_limit}")
 
 
 def _check_modulus(d: int, a: int) -> None:
@@ -385,14 +389,14 @@ class FitRow:
     rel_deviation: float
 
 
-def fit_report(d: int, thresholds: list, prime_limit: int = 10_000_000) -> list[FitRow]:
-    """Empirical slope check: xi(X)/X against the leading constant."""
-    _check_prime_limit(prime_limit)
+def fit_report(d: int, thresholds: list) -> list[FitRow]:
+    """Empirical slope check: xi(X)/X against the leading constant,
+    truncated at 10^7."""
     xs = [Fraction(x) for x in thresholds]
     if xs != sorted(xs):
         raise ValueError("thresholds must be ascending")
     counts = surface_counts(d, xs)
-    L = leading_constant(d, prime_limit=prime_limit).l_main
+    L = leading_constant(d, prime_limit=10_000_000).l_main
     rows = []
     for x, n in zip(xs, counts):
         ratio = n / float(x)
@@ -436,17 +440,17 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
     (the 2 in the first block): each sum is 0.0 plus one np.sum per block,
     in order.  A pass caches its sums at every grid point it crosses as well
     as at limit, all under (d, point), and a d not cached at limit resumes
-    from its largest cached grid point at or below limit; the d of one call
-    share one pass, each joining at its own point.  The additions are the
-    same whatever the cache held, so the sums do not depend on its history,
-    bit for bit."""
+    from its largest cached grid point at or below limit, found by walking
+    down the grid from limit; the d of one call share one pass, each joining
+    at its own point.  The additions are the same whatever the cache held,
+    so the sums do not depend on its history, bit for bit."""
     _check_prime_limit(limit)
     missing = [d for d in dict.fromkeys(ds) if (d, limit) not in _SUMS_CACHE]
     if missing:
         grid = range(3, limit + 1, PRIME_BLOCK)
         tables = {d: character(d).residue_table() for d in missing}
         # each d resumes from its largest cached grid point
-        joins = {d: max((k for k, g in enumerate(grid) if (d, g) in _SUMS_CACHE), default=0) for d in missing}
+        joins = {d: next((k for k in range(len(grid) - 1, 0, -1) if (d, grid[k]) in _SUMS_CACHE), 0) for d in missing}
         sums = {d: list(_SUMS_CACHE.get((d, grid[k]), (0.0, 0.0, 0))) for d, k in joins.items()}
         for block in prime_blocks(limit, PRIME_BLOCK, grid[min(joins.values())]):
             # the block's grid index from its last prime (limit >= 4 puts 3 in block 0)
@@ -494,60 +498,61 @@ def constant_C(d: int, digits: int = 12, prime_limit: int | None = None) -> Cons
     return ConstantValue(d, value, prime_limit, nprimes, tail, certified)
 
 
-def _tau(d: int) -> int:
-    return divisor_stats(d)[0]
-
-
 def leading_constant(d: int, prime_limit: int | None = None) -> ConstantReport:
-    """Both Euler-product forms of the linear coefficient of xi(X).
-
-    l_main: prefactor tau(d) pi/4 (5 pi/12 for d = 4) times the full-product
-    form.  l_census_form: 3 C tau(d) / (2 pi) times the d-local factors
-    (collapsing to 15 C / (4 pi) for d = 4).  Shares one prime stream so the
-    identity between the forms survives truncation up to the p^-2 tail.
-    """
-    res = is_admissible(d)
-    if not res.admissible:
-        raise ValueError(f"d = {d} is not admissible: {res.reason}")
-    if prime_limit is None:
-        prime_limit = DEFAULT_PRIME_LIMIT
-    s_main, s_c, nprimes = _euler_log_sums((d,), prime_limit)[d]
-    tail2 = _prime_square_tail(nprimes)
-    if d == 4:
-        pref_main = 5 * math.pi / 12
-        pref_census = 15 / (4 * math.pi)
-        census_local = 1.0
-    else:
-        pref_main = _tau(d) * math.pi / 4
-        pref_census = 3 * _tau(d) / (2 * math.pi)
-        census_local = float(
-            math.prod(
-                1 + Fraction(1, p * p) / (1 - Fraction(1, p))
-                for p, _ in factorize(d).factors
-            )
-        )
-    l_main = pref_main * math.exp(s_main)
-    l_census = pref_census * math.exp(s_c) * census_local
-    l_main_bound = l_main * math.expm1(2.01 * tail2) + 1e-13 * l_main
-    l_census_bound = l_census * math.expm1(1.01 * tail2) + 1e-13 * l_census
-    return ConstantReport(
-        d,
-        l_main,
-        l_main_bound,
-        l_census,
-        l_census_bound,
-        prime_limit,
-        nprimes,
-        abs(l_main - l_census),
-    )
+    """Both Euler-product forms of the linear coefficient of xi(X); see
+    leading_constants_bundle."""
+    return leading_constants_bundle((d,), prime_limit)[d]
 
 
 def leading_constants_bundle(ds: tuple[int, ...], prime_limit: int | None = None) -> dict[int, ConstantReport]:
-    """leading_constant for several d sharing a single prime pass."""
+    """Both Euler-product forms of the linear coefficient of xi(X) for each d,
+    from one shared prime pass.
+
+    l_main: prefactor tau(d) pi/4 (5 pi/12 for d = 4) times the full-product
+    form.  l_census_form: 3 C tau(d) / (2 pi) times the d-local factors
+    (collapsing to 15 C / (4 pi) for d = 4).  Both read the same log-sums so
+    the identity between the forms survives truncation up to the p^-2 tail.
+    Every d, and then the truncation prime, is checked before anything is
+    sieved.
+    """
     if prime_limit is None:
         prime_limit = DEFAULT_PRIME_LIMIT
-    _euler_log_sums(ds, prime_limit)
-    return {d: leading_constant(d, prime_limit) for d in ds}
+    for d in ds:
+        res = is_admissible(d)
+        if not res.admissible:
+            raise ValueError(f"d = {d} is not admissible: {res.reason}")
+    reports = {}
+    for d, (s_main, s_c, nprimes) in _euler_log_sums(ds, prime_limit).items():
+        tail2 = _prime_square_tail(nprimes)
+        if d == 4:
+            pref_main = 5 * math.pi / 12
+            pref_census = 15 / (4 * math.pi)
+            census_local = 1.0
+        else:
+            tau = divisor_stats(d)[0]
+            pref_main = tau * math.pi / 4
+            pref_census = 3 * tau / (2 * math.pi)
+            census_local = float(
+                math.prod(
+                    1 + Fraction(1, p * p) / (1 - Fraction(1, p))
+                    for p, _ in factorize(d).factors
+                )
+            )
+        l_main = pref_main * math.exp(s_main)
+        l_census = pref_census * math.exp(s_c) * census_local
+        l_main_bound = l_main * math.expm1(2.01 * tail2) + 1e-13 * l_main
+        l_census_bound = l_census * math.expm1(1.01 * tail2) + 1e-13 * l_census
+        reports[d] = ConstantReport(
+            d,
+            l_main,
+            l_main_bound,
+            l_census,
+            l_census_bound,
+            prime_limit,
+            nprimes,
+            abs(l_main - l_census),
+        )
+    return reports
 
 
 def _euler_phi(a: int) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -128,14 +127,12 @@ def _cmd_constant(args) -> int:
 def _cmd_fit(args) -> int:
     points = [_parse_threshold(p) for p in args.points.split(",")]
     rows = fit_report(args.d, points)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["X", "xi", "ratio", "l_main", "rel_deviation"])
     for row in rows:
         writer.writerow(
             [str(row.X), row.xi, repr(row.ratio), repr(row.leading), repr(row.rel_deviation)]
         )
-    sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="all | orders | areas | constants | counts | classgroups | order <d> <m> <c>",
     )
-    p.add_argument("--fast", action="store_true", help="reduced ranges for a smoke run")
+    p.add_argument("--fast", action="store_true", help="smoke run: orders and areas sweep D <= 60, the other suites run in full")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

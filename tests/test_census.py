@@ -671,24 +671,32 @@ def test_residue_constant_checks():
 
 
 def test_prime_limit_below_four_refused_unsieved(monkeypatch):
-    def no_sieve(limit):
+    def no_sieve(*args):
         raise AssertionError("sieved before refusing")
 
-    def no_scan(*args):
-        raise AssertionError("scanned before refusing")
-
     monkeypatch.setattr(census, "prime_blocks", no_sieve)
-    monkeypatch.setattr(census, "_windows", no_scan)
-    for limit in (-5, 0, 1, 3):
+    too_small = "prime_limit must be at least 4"
+    too_large = f"prime_limit must be at most {10**12}"
+    for limit, message in ((-5, too_small), (0, too_small), (1, too_small), (3, too_small),
+                           (10**12 + 1, too_large), (10**13, too_large)):
         for request in (
             lambda: constant_C(3, prime_limit=limit),
             lambda: leading_constant(3, prime_limit=limit),
             lambda: leading_constants_bundle((3,), limit),
             lambda: residue_constant_check(3, 1, prime_limit=limit),
-            lambda: fit_report(3, [10], prime_limit=limit),
+            lambda: census._euler_log_sums((3,), limit),
         ):
-            with pytest.raises(ValueError, match="prime_limit must be at least 4"):
+            with pytest.raises(ValueError, match=message):
                 request()
+
+
+def test_bundle_refuses_a_field_before_sieving(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(census, "prime_blocks", no_sieve)
+    with pytest.raises(ValueError, match="d = 39 is not admissible"):
+        leading_constants_bundle((3, 39), 2 * 10**7)
 
 
 def test_prime_limit_four_gives_finite_bounds():
@@ -698,16 +706,15 @@ def test_prime_limit_four_gives_finite_bounds():
         assert rep.prime_count == 2
         assert math.isfinite(rep.l_main_bound) and math.isfinite(rep.l_census_bound)
     assert math.isfinite(residue_constant_check(3, 1, prime_limit=4).tolerance)
-    assert all(math.isfinite(row.leading) for row in fit_report(3, [10], prime_limit=4))
 
 
 def test_fit_report_interface():
     with pytest.raises(ValueError):
         fit_report(3, [10, 5])
-    rows = fit_report(3, [50, 100], prime_limit=1_000_000)
+    rows = fit_report(3, [50, 100])
     assert [float(r.X) for r in rows] == [50.0, 100.0]
     for r in rows:
         assert r.ratio == r.xi / float(r.X)
         assert r.rel_deviation == abs(r.ratio - r.leading) / r.leading
-    again = fit_report(3, [50, 100], prime_limit=1_000_000)
+    again = fit_report(3, [50, 100])
     assert again == rows

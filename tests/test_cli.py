@@ -2,10 +2,8 @@
 determinism."""
 
 import csv
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 from bianchisurf.census import enumerate_surfaces, xi
 from bianchisurf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
@@ -161,12 +159,16 @@ def test_exit_codes(capsys):
     assert rc == EXIT_USAGE
 
 
-def test_scripts_refuse_prime_limit_below_four(capsys):
-    for name in ("constants_table", "fit_experiment"):
-        path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.main(["--prime-limit", "3"]) == EXIT_DOMAIN
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: prime_limit must be at least 4, got 3\n"
+def test_fast_constants_suite_passes_with_table_notes(capsys, constants_bundle):
+    # --fast shrinks only the sweep: the constants suite keeps its truncation prime
+    rc, out, _ = run(capsys, "verify", "constants", "--fast")
+    assert rc == EXIT_OK
+    assert "constants: pass" in out
+    for d, r in constants_bundle.items():
+        bound = r.l_main_bound + r.l_census_bound
+        note = (
+            f"  note: d={d}: l_main {r.l_main:.15f}, l_census_form {r.l_census_form:.15f}, "
+            f"gap {r.chain_gap:.2e}, bound {bound:.2e}\n"
+        )
+        assert note in out
+    assert out.count("  note: d=") == len(constants_bundle) == 6
