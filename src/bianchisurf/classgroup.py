@@ -1,7 +1,7 @@
 """Class groups of imaginary quadratic fields via binary quadratic forms.
 
 Forms (a, b, c) of discriminant -d are primitive, positive definite, with
-b^2 - 4ac = -d.  Reduction, Gauss composition, and the elementary-divisor
+b^2 - 4ac = -d.  Reduction, Dirichlet composition, and the elementary-divisor
 decomposition of the class group live here.  The admissibility gate for the
 rest of the package (square-free d = 3 mod 4, plus the special case d = 4)
 also lives here because its output is phrased in terms of the class number.
@@ -76,41 +76,6 @@ def reduced_forms(d: int) -> list[QuadraticForm]:
     return sorted(out)
 
 
-def _solve_congruence(a: int, b: int, m: int) -> int:
-    """Least x >= 0 with a x = b (mod m); requires gcd(a, m) | b."""
-    g = gcd(a, m)
-    if b % g:
-        raise ValueError("congruence has no solution")
-    mm = m // g
-    return (pow(a // g, -1, mm) * (b // g)) % mm
-
-
-def _coprime_transform(f: QuadraticForm, n: int) -> QuadraticForm:
-    """An SL2(Z)-equivalent form whose leading coefficient is coprime to n."""
-    if gcd(f.a, n) == 1:
-        return f
-    a, b, c = f.a, f.b, f.c
-    for x in range(1, 200):
-        for y in range(0, x + 1):
-            if gcd(x, y) != 1:
-                continue
-            for sy in ((y,) if y == 0 else (y, -y)):
-                val = a * x * x + b * x * sy + c * sy * sy
-                if gcd(val, n) == 1:
-                    # complete (x, sy) to an SL2(Z) matrix [[x, u], [sy, w]]
-                    if sy == 0:
-                        u, w = 0, 1  # gcd(x, 0) = 1 forces x = 1
-                    else:
-                        g0, cx, cy = _ext_gcd(x, sy)
-                        if g0 < 0:
-                            cx, cy = -cx, -cy  # keep determinant +1
-                        u, w = -cy, cx
-                    nb = 2 * a * x * u + b * (x * w + u * sy) + 2 * c * sy * w
-                    nc = a * u * u + b * u * w + c * w * w
-                    return QuadraticForm(val, nb, nc)
-    raise ValueError("no coprime representative found")
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -124,24 +89,29 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def compose(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
-    """Gauss composition of primitive forms of the same discriminant."""
+    """Dirichlet composition of primitive forms of the same discriminant.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7.
+    """
     if f1.discriminant != f2.discriminant:
         raise ValueError("forms must share a discriminant")
-    disc = f1.discriminant
-    f2 = _coprime_transform(f2, f1.a)
-    a1, b1 = f1.a, f1.b
-    a2, b2 = f2.a, f2.b
-    # b1 and b2 share the parity of disc, so the difference below is even
-    t = _solve_congruence(2 * a1, b2 - b1, 2 * a2)
-    B = b1 + 2 * a1 * t
-    A = a1 * a2
-    C = (B * B - disc) // (4 * A)
-    return QuadraticForm(A, B, C).reduced()
+    if f1.a > f2.a:
+        f1, f2 = f2, f1
+    a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
+    # b1 and b2 share the parity of the discriminant, so s is an integer
+    s = (f1.b + b2) // 2
+    n = b2 - s
+    d, y1, _ = _ext_gcd(a2, a1)
+    d1, x2, v = _ext_gcd(s, d)
+    y2 = -v
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return QuadraticForm(
+        v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1
+    ).reduced()
 
 
 def form_power(f: QuadraticForm, k: int, identity: QuadraticForm) -> QuadraticForm:
-    if k < 0:
-        return form_power(f.inverse(), -k, identity)
     out = identity
     base = f
     while k:
@@ -163,16 +133,15 @@ def _p_part_divisors(forms: list[QuadraticForm], identity: QuadraticForm,
                      p: int, pk: int) -> list[int]:
     """Cyclic factors of the p-Sylow subgroup, given its order p^k.
 
-    Counts solutions of x^(p^j) = identity for each j; the increments of
-    log_p(count) form the conjugate partition of the factor exponents.
+    Counts solutions of x^(p^j) = identity for each j, raising every form
+    to the p-th power once per level; the increments of log_p(count) form
+    the conjugate partition of the factor exponents.
     """
     counts = [1]
-    j = 1
+    powers = forms  # powers[i] = forms[i]^(p^j) at level j
     while counts[-1] < pk:
-        e = p**j
-        n = sum(1 for f in forms if form_power(f, e, identity) == identity)
-        counts.append(n)
-        j += 1
+        powers = [form_power(f, p, identity) for f in powers]
+        counts.append(powers.count(identity))
     # layer widths: number of cyclic factors of order >= p^j
     widths = []
     for j in range(1, len(counts)):

@@ -50,9 +50,6 @@ class QuadExt:
         k = Fraction(k)
         return QuadExt(self.d, self.re * k, self.im * k)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def is_field_integer(self) -> bool:
         # O_d = Z[(1 + sqrt(-d))/2] for d = 3 mod 4: half-integers with
         # matching parity
@@ -168,6 +165,8 @@ class SurfaceIndex:
 
     def __post_init__(self) -> None:
         d, m, c, r = self.d, self.m, self.c, self.r
+        if not is_squarefree(d) or d % 4 != 3:
+            raise ValueError(f"d must be square-free and 3 mod 4, got {d}")
         if not (0 <= m < d):
             raise ValueError(f"m must lie in [0, {d}), got {m}")
         if m * m <= c * d:

@@ -60,10 +60,6 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @property
     def num_distinct(self) -> int:
         return len(self.factors)
 

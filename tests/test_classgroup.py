@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from bianchisurf.classgroup import (
     principal_form,
     reduced_forms,
 )
+from bianchisurf.ntkernel import character, factorize, is_squarefree
 
 
 def test_principal_form():
@@ -31,14 +33,14 @@ def test_reduced_forms_small():
 def test_reduced_forms_are_reduced_primitive():
     for d in (3, 7, 11, 15, 19, 23, 39, 47, 71):
         for f in reduced_forms(d):
-            assert f.is_reduced and f.is_primitive
+            assert f.is_reduced() and f.is_primitive()
             assert f.discriminant == -d
 
 
 def test_reduce_is_idempotent_and_class_preserving():
     f = QuadraticForm(13, 11, 3)  # discriminant -35
     r = f.reduced()
-    assert r.is_reduced
+    assert r.is_reduced()
     assert r.discriminant == f.discriminant
     assert r.reduced() == r
 
@@ -105,6 +107,20 @@ def test_elementary_divisors_divide_in_turn():
         for v in divs:
             prod *= v
         assert prod == st_.order
+
+
+def test_class_group_against_form_free_oracles():
+    # Neither oracle reads a form: the order is the analytic class number
+    # -(w / 2d) sum_{a<d} a chi(a), and genus theory gives 2-rank omega(d) - 1.
+    fields = [d for d in range(3, 1000, 4) if is_squarefree(d)]
+    assert len(fields) == 204
+    for d in fields:
+        st_ = class_group(d)
+        w = 6 if d == 3 else 2
+        chi_sum = int(np.dot(np.arange(d), character(d).residue_table()))
+        assert 2 * d * st_.order == -w * chi_sum, d
+        two_rank = sum(1 for v in st_.elementary_divisors if v % 2 == 0)
+        assert two_rank == factorize(d).num_distinct - 1, d
 
 
 def test_admissibility_verdicts():

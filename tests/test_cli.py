@@ -159,6 +159,13 @@ def test_exit_codes(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_area_refuses_d4(capsys):
+    # d = 4 serves the counting constant only; the area formula needs d = 3 mod 4
+    rc, out, err = run(capsys, "area", "4", "1", "0")
+    assert rc == EXIT_DOMAIN
+    assert out == "" and err.startswith("error:")
+
+
 def test_fast_constants_suite_passes_with_table_notes(capsys, constants_bundle):
     # --fast shrinks only the sweep: the constants suite keeps its truncation prime
     rc, out, _ = run(capsys, "verify", "constants", "--fast")

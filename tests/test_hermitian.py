@@ -108,6 +108,10 @@ def test_surface_index_validation():
         SurfaceIndex(3, 1, -1, 2)  # r does not divide d
     with pytest.raises(ValueError):
         SurfaceIndex(3, 1, -1, 3)  # r^2 >= d
+    with pytest.raises(ValueError):
+        SurfaceIndex(4, 1, 0, 1)  # d = 4 is for the counting constant only
+    with pytest.raises(ValueError):
+        SurfaceIndex(27, 6, 1, 1)  # not square-free
 
 
 def test_pullback_reference_values():
