@@ -7,19 +7,19 @@ prod_{p|D}(1 + chi(p)/p) is at least prod (1 - 1/q) over the first k inert
 primes q, k the most whose product is at most D, and each side factor of a
 prime of g is at least its minimum.  One sieve loop (_windows) lays the
 progressions end to end and cuts them into windows of at most _CHUNK
-entries.  Each window gets its weights from one progression sieve
-(weight_ratio_array), by the primes up to the square root of its largest D,
-is priced once with vectorized Euler factors, and its c below each threshold
-are counted or listed, so no array grows with the cap.  Requests past the
-factorization limit 10^12 or past a fixed budget of candidates times
-thresholds (_MAX_PRICED) are refused before anything is sieved, with the
-same verdict on every machine.  Every threshold decision goes through one
-exact decider: floats decide outside a guard band, and anything inside it
-is re-decided with rationals (and a rational pi bracket for areas).  The
-counting lemma stops at the same envelope with base 1 and windows its one
-progression through the same sieve loop: it keeps nothing between calls and
-meets the same two refusals.  Everything runs in the calling process: xi,
-surface_counts and enumerate_surfaces ignore their `jobs` keyword.
+entries.  Each window gets the integers F(D) = D prod_{p|D}(1 + chi(p)/p)
+from one progression sieve (weight_ratio_array), by the primes up to the
+square root of its largest D, and its c below each threshold are counted or
+listed, so no array grows with the cap.  Requests past the factorization
+limit 10^12 or past a fixed budget of candidates times thresholds
+(_MAX_PRICED) are refused before anything is sieved, with the same verdict
+on every machine.  Every threshold decision is one integer comparison: an
+area is pi F(D) times a rational fixed by D mod g, below X exactly when F(D)
+is at most the class's bound T, found once per scan by compare_to_threshold;
+the counting lemma counts F <= ceil(X) - 1 on the same windows.  Both keep
+nothing between calls and meet the same two refusals.  Everything runs in
+the calling process: xi, surface_counts and enumerate_surfaces ignore their
+`jobs` keyword.
 
 Constants are truncated Euler products over a segmented prime sieve, with
 explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -102,34 +101,34 @@ _STRIDED = 16  # a segment at least this many times p long is sieved by slices
 
 
 def weight_ratio_array(d: int, segments) -> np.ndarray:
-    """W = prod_{p | D, p not | d} (1 + chi(p)/p) over the progressions
+    """F(D) = D * prod_{p | D, p not | d} (1 + chi(p)/p) over the progressions
     D = D0 + step * j, 0 <= j < count, one (D0, step, count) per segment,
-    concatenated, as float64.  Needs D0 >= 1 and step >= 1.
+    concatenated, as int64: the part of D at the primes of d times p^(e-1)
+    (p + chi(p)) for each other p^e || D, below 6 * 10^12 with every partial
+    product for D < 10^12.  Needs D0 >= 1 and step >= 1.
 
     One sieve by the primes up to sqrt(max D).  p^k divides D exactly on a
     class of j mod p^k / gcd(step, p^k).  Long segments mark these classes
     with slices while they are dense; the short ones mark p's class all at
-    once with one index array.  The factor of p is multiplied in on its
-    class, and p is divided out of a cofactor as often as it divides.  The
-    cofactor left is 1 or one prime, priced last from the residue table, so
-    every entry multiplies the same factors in the same ascending order as
-    prod (1 + chi(p)/p) does.
+    once with one index array.  On p's class F becomes F // p * (p + chi(p)),
+    exact in any order, as no other prime lowers the power of p in F; p is
+    divided out of a cofactor as often as it divides.  The cofactor left is
+    1 or one prime, treated the same way from the residue table.
     """
     segments = [tuple(map(int, seg)) for seg in segments]
     if any(D0 < 1 or step < 1 for D0, step, _ in segments):
         raise ValueError("progressions must start at D0 >= 1 with step >= 1")
     D0, step, count = np.array(segments, dtype=np.int64).reshape(-1, 3).T
     start = np.cumsum(count) - count
-    rest = np.concatenate([np.arange(a, a + b * n, b, dtype=np.int64) for a, b, n in segments] or [[]])
-    W = np.ones(len(rest))
+    rest = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(a, a + b * n, b, dtype=np.int64) for a, b, n in segments])
+    F = rest.copy()
     if not len(rest):
-        return W
+        return F
     table = character(d).residue_table()
     steps, which = np.unique(step, return_inverse=True)
     for block in prime_blocks(math.isqrt(int(rest.max())) + 1):
         for p in block.tolist():
             ch = int(table[p % d])
-            factor = 1.0 + ch / p
             long = count >= _STRIDED * p
             divisible = []  # entries still divisible by p after the slices
             for s in np.flatnonzero(long).tolist():
@@ -140,7 +139,8 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
                     by = pk // g
                     j = lo + (-a // g) * pow(b // g, -1, by) % by
                     if pk == p and ch:
-                        W[j:hi:by] *= factor
+                        F[j:hi:by] //= p
+                        F[j:hi:by] *= p + ch
                     if by * _STRIDED > n:
                         divisible.append(np.arange(j, hi, by))
                         break
@@ -157,7 +157,7 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
                 hits = np.repeat(start + j0 - stride * (np.cumsum(per_seg) - per_seg), per_seg)
                 hits += np.repeat(stride, per_seg) * np.arange(len(hits))
                 if ch:
-                    W[hits] *= factor
+                    F[hits] = F[hits] // p * (p + ch)
                 divisible.append(hits)
             hits = np.concatenate(divisible or [np.empty(0, dtype=np.int64)])
             while len(hits):
@@ -165,8 +165,8 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
                 hits = hits[rest[hits] % p == 0]
     big = np.flatnonzero(rest > 1)
     q = rest[big]
-    W[big] *= 1.0 + table[q % d] / q
-    return W
+    F[big] = F[big] // q * (q + table[q % d])
+    return F
 
 
 _CHUNK = 1 << 17
@@ -178,39 +178,29 @@ _MAX_PRICED = 2**34
 def _windows(d: int, progressions: list[tuple[int, int, int]], nthresholds: int):
     """The progressions D = D0 + step * j, 0 <= j < total, one (D0, step,
     total) each, laid end to end and cut into windows of at most _CHUNK
-    entries.  Yields (pieces, W) per window: W holds the window's weights
-    from one weight_ratio_array sieve, and pieces lists (k, j, s) for each
-    progression k in the window: its indices j, whose weights are W[s].
+    entries: an iterator of (pieces, F) per window.  F holds the window's
+    F(D) from one weight_ratio_array sieve, and pieces lists (k, j, s) for
+    each progression k in the window: its indices j, whose F(D) are F[s].
 
-    Refused before anything is sieved: a D at or past the factorization
-    limit, then more entries times nthresholds than _MAX_PRICED."""
+    Refused at the call, before anything is sieved: a D at or past the
+    factorization limit, then more entries times nthresholds than _MAX_PRICED."""
     top = max((D0 + step * (n - 1) for D0, step, n in progressions if n), default=0)
     if top >= _FACTOR_LIMIT:
         raise ValueError(f"would sieve up to {top}, past the factorization limit {_FACTOR_LIMIT}")
     firsts = list(accumulate((n for *_, n in progressions), initial=0))
     if firsts[-1] * nthresholds > _MAX_PRICED:
         raise ValueError(f"would price {firsts[-1]} candidates at {nthresholds} threshold(s), past the budget of {_MAX_PRICED}")
-    for w0 in range(0, firsts[-1], _CHUNK):
-        # the entries lo <= j < hi of each progression in [w0, w0 + _CHUNK)
-        pieces, segments = [], []
-        for k, ((D0, step, n), f) in enumerate(zip(progressions, firsts)):
-            lo, hi = max(w0 - f, 0), min(w0 + _CHUNK - f, n)
-            if lo < hi:
-                pieces.append((k, np.arange(lo, hi, dtype=np.int64), slice(f + lo - w0, f + hi - w0)))
-                segments.append((D0 + step * lo, step, hi - lo))
-        yield pieces, weight_ratio_array(d, segments)
-
-
-def _below(values: np.ndarray, X: Fraction, exact_below) -> np.ndarray:
-    """Exact mask of values < X.  The floats decide every entry outside the
-    guard band |value - X| <= 1e-9 X + 1e-12; exact_below(k) decides each
-    entry k inside it."""
-    Xf = float(X)
-    guard = 1e-9 * Xf + 1e-12
-    below = values < Xf - guard
-    for k in np.flatnonzero(np.abs(values - Xf) <= guard).tolist():
-        below[k] = exact_below(k)
-    return below
+    def sieved():
+        for w0 in range(0, firsts[-1], _CHUNK):
+            # the entries lo <= j < hi of each progression in [w0, w0 + _CHUNK)
+            pieces, segments = [], []
+            for k, ((D0, step, n), f) in enumerate(zip(progressions, firsts)):
+                lo, hi = max(w0 - f, 0), min(w0 + _CHUNK - f, n)
+                if lo < hi:
+                    pieces.append((k, np.arange(lo, hi, dtype=np.int64), slice(f + lo - w0, f + hi - w0)))
+                    segments.append((D0 + step * lo, step, hi - lo))
+            yield pieces, weight_ratio_array(d, segments)
+    return sieved()
 
 
 def _check_prime_limit(prime_limit: int) -> None:
@@ -233,8 +223,8 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
 
     Requires every prime of a to divide d.  Enumeration stops at the
     inert-prime envelope with base 1, as F(n) >= n L(n), and runs window by
-    window through the census sieve; near-threshold candidates are
-    re-decided with exact rationals.
+    window through the census sieve, which gives F(n) as an integer: F(n) < X
+    exactly when F(n) <= ceil(X) - 1.
     """
     _check_modulus(d, a)
     X = Fraction(X)
@@ -242,12 +232,8 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
         return 0
     start = r % a or a
     ncap = _envelope_cap(d, Fraction(1), X)
-    count = 0
-    for [(_, j, _)], W in _windows(d, [(start, a, len(range(start, ncap, a)))], 1):
-        n = start + a * j
-        F = n.astype(np.float64) * W
-        count += int(np.count_nonzero(_below(F, X, lambda k: F_value(d, int(n[k])) < X)))
-    return count
+    windows = _windows(d, [(start, a, len(range(start, ncap, a)))], 1)
+    return sum(int(np.count_nonzero(F <= math.ceil(X) - 1)) for _, F in windows)
 
 
 # --- census enumeration --------------------------------------------------
@@ -270,16 +256,10 @@ def _exact_q(d: int, m: int, c: int) -> Fraction:
     return area_closed_form(SurfaceIndex(d, m, c, 1)).q
 
 
-@lru_cache(maxsize=None)
-def _side_table(p: int) -> tuple[Fraction, np.ndarray]:
-    """The Euler factor of a prime p | g = gcd(m, d) at D = r (mod p),
-    (1 - p^-2) / (1 - (D/p)/p), halved where p | D: its exact minimum over
-    r, and its float values for r = 0..p-1."""
-    by_symbol = {s: Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (-1, 0, 1)}
-    factors = [by_symbol[legendre(r, p)] for r in range(p)]
-    table = np.array([float(f) for f in factors])
-    table.setflags(write=False)  # cached: shared by every scan
-    return min(factors), table
+def _side_factors(p: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The Euler factor (1 - p^-2) / (1 - s/p) of a prime p | g = gcd(m, d)
+    at D with (D/p) = s, halved where p | D; indexed by s, so s = 0, 1, -1."""
+    return tuple(Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (0, 1, -1))
 
 
 def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
@@ -290,8 +270,29 @@ def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
     pi_lo, _, scale = pi_bracket(PI_DIGITS)
     base = Fraction(g * g * pi_lo, 3 * d * scale)
     for p, _ in factorize(g).factors:
-        base *= _side_table(p)[0]
+        base *= min(_side_factors(p))
     return _envelope_cap(d, base, threshold)
+
+
+def _bounds(d: int, g: int, xs: list[Fraction]) -> np.ndarray:
+    """T[i, r] = the largest F with q(r) F pi < xs[i], or 0 if none; q(r) is
+    g^2/(3d) times the side factors of the p | g at D = r (mod g), fixed by
+    the symbols (r/p).  Each distinct q starts from floor(x / (q pi_lo)),
+    never too low as pi_lo < pi, and steps down while compare_to_threshold
+    puts q t pi above x."""
+    primes = [p for p, _ in factorize(g).factors]
+    pi_lo, _, scale = pi_bracket(PI_DIGITS)
+    symbols = [tuple(legendre(r, p) for p in primes) for r in range(g)]
+    bound = {}
+    for key in dict.fromkeys(symbols):
+        q = Fraction(g * g, 3 * d) * math.prod(_side_factors(p)[s] for p, s in zip(primes, key))
+        bound[key] = column = []
+        for x in xs:
+            t = x * scale // (q * pi_lo)
+            while t > 0 and compare_to_threshold(ExactArea(q * t), x) > 0:
+                t -= 1
+            column.append(t)
+    return np.array([bound[key] for key in symbols], dtype=np.int64).T
 
 
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
@@ -301,7 +302,8 @@ def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     (i, ms, cs) per window and threshold xs[i]: the pairs (m, c) of the
     window with area exactly below xs[i].
 
-    Each window of candidates is sieved once (_windows) and priced once."""
+    Each window of candidates is sieved once (_windows), and each candidate
+    is below xs[i] exactly when F(D) <= T[i, D mod g] (_bounds)."""
     top = max(xs) * bound_factor
     gs = [gcd(m, d) for m in range(d)]
     caps = {g: _residue_cap(d, g, top) for g in set(gs)}
@@ -310,21 +312,19 @@ def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     for m, c in enumerate(c_starts):
         d0, D0 = d0_and_D(d, m, c)
         progs.append((D0, d0 * d0, len(range(D0, caps[gs[m]], d0 * d0))))
-    for pieces, W in _windows(d, progs, len(xs)):
+    windows = _windows(d, progs, len(xs))  # refuses before any bound is computed
+    # every g's table side by side: column offset[g] + r holds its class r
+    T = np.concatenate([_bounds(d, g, xs) for g in caps], axis=1)
+    offset = dict(zip(caps, accumulate(caps, initial=0)))
+    for pieces, W in windows:
         # read through an index array: perfbench counts such reads as candidates
-        area = W[np.arange(len(W))]
-        m, c = np.empty((2, len(W)), dtype=np.int64)
+        F = W[np.arange(len(W))]
+        m, c, col = np.empty((3, len(F)), dtype=np.int64)
         for k, j, piece in pieces:  # progression k is residue m = k
             D0, step, _ = progs[k]
-            D = D0 + step * j
-            g = gs[k]
-            m[piece], c[piece] = k, c_starts[k] - j
-            area[piece] *= g * g / (3 * d) * D.astype(np.float64)
-            for p, _ in factorize(g).factors:
-                area[piece] *= _side_table(p)[1][D % p]
-        area *= math.pi
-        for i, x in enumerate(xs):
-            below = _below(area, x, lambda k: compare_to_threshold(ExactArea(_exact_q(d, int(m[k]), int(c[k]))), x) < 0)
+            m[piece], c[piece], col[piece] = k, c_starts[k] - j, offset[gs[k]] + (D0 + step * j) % gs[k]
+        for i in range(len(xs)):
+            below = F <= T[i, col]
             yield i, m[below], c[below]
 
 

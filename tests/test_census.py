@@ -43,7 +43,7 @@ from bianchisurf.verify import (
     _uniform_bound_coeff,
     pairs_under,
 )
-from bianchisurf.volume import area_closed_form, compare_to_threshold
+from bianchisurf.volume import area_closed_form, compare_to_threshold, pi_bracket
 
 
 def test_F_values():
@@ -60,16 +60,14 @@ def test_weight_ratio_matches_F():
     for d in (3, 15):
         W = weight_ratio_array(d, [(1, 1, 499)])
         for n in range(1, 500):
-            assert np.isclose(W[n - 1] * n, float(F_value(d, n)), rtol=1e-12)
+            assert W[n - 1] == F_value(d, n)
 
 
-def _naive_weight(d: int, D: int) -> float:
-    w = 1.0
-    for p, _ in factorize(D).factors:  # ascending p
-        ch = character(d).at_prime(p)
-        if ch:
-            w *= 1.0 + ch / p
-    return w
+def _naive_F(d: int, D: int) -> int:
+    F = 1
+    for p, e in factorize(D).factors:
+        F *= p**e if d % p == 0 else p ** (e - 1) * (p + character(d).at_prime(p))
+    return F
 
 
 _prime_powers = st.builds(
@@ -98,9 +96,9 @@ def _segments(draw):
 def test_weight_ratio_array_matches_naive_product(case):
     d, segs = case
     W = weight_ratio_array(d, segs)
-    naive = [_naive_weight(d, D0 + step * j) for D0, step, n in segs for j in range(n)]
-    assert W.dtype == np.float64
-    assert np.array_equal(W.view(np.int64), np.array(naive, dtype=np.float64).view(np.int64))
+    naive = [_naive_F(d, D0 + step * j) for D0, step, n in segs for j in range(n)]
+    assert W.dtype == np.int64
+    assert W.tolist() == naive
 
 
 def test_weight_ratio_array_never_sieves_zero():
@@ -511,8 +509,8 @@ def test_bound_factor_below_one_refused():
 
 @pytest.mark.parametrize("d", [3, 15])
 def test_thresholds_inside_guard_band(d):
-    # decimal roundings of real areas: the floats cannot decide these, so
-    # every answer rests on the exact re-decision
+    # decimal roundings of real areas, within 1e-9 of them: an off-by-one in
+    # the scan's exact bound on F shows here
     xs = []
     for q in sorted({t.q for t in enumerate_surfaces(d, 30)}):
         area = float(q) * math.pi
@@ -529,6 +527,18 @@ def test_thresholds_inside_guard_band(d):
         assert len(records) == n
         assert all(compare_to_threshold(t.area(), x) < 0 for t in records)
         assert enumerate_surfaces(d, x, jobs=2) == records
+
+
+@pytest.mark.parametrize("d", [3, 15])
+def test_thresholds_a_hair_below_an_area(d):
+    # X = q lo / 10^120 lies between the 60-digit bracket's estimate of q pi
+    # and q pi itself, so the first bound on F is one too high for the class
+    # of the surface and only the exact correction brings it down
+    lo, _, scale = pi_bracket(120)
+    xs = [q * Fraction(lo, scale) for q in sorted({t.q for t in enumerate_surfaces(d, 30)})]
+    counts = [xi(d, x) for x in xs]
+    assert counts == [_brute_xi(d, x) for x in xs]
+    assert surface_counts(d, xs) == counts
 
 
 def test_one_weight_array_build_per_request(monkeypatch):
