@@ -11,15 +11,17 @@ entries.  Each window gets the integers F(D) = D prod_{p|D}(1 + chi(p)/p)
 from one progression sieve (weight_ratio_array), by the primes up to the
 square root of its largest D, and its c below each threshold are counted or
 listed, so no array grows with the cap.  Requests past the factorization
-limit 10^12 or past a fixed budget of candidates times thresholds
-(_MAX_PRICED) are refused before anything is sieved, with the same verdict
-on every machine.  Every threshold decision is one integer comparison: an
-area is pi F(D) times a rational fixed by D mod g, below X exactly when F(D)
-is at most the class's bound T, found once per scan by compare_to_threshold;
-the counting lemma counts F <= ceil(X) - 1 on the same windows.  Both keep
-nothing between calls and meet the same two refusals.  Everything runs in
-the calling process: xi, surface_counts and enumerate_surfaces ignore their
-`jobs` keyword.
+limit 10^12, however large the threshold, or past a fixed budget of
+candidates times thresholds (_MAX_PRICED) are refused before anything is
+sieved, with the same verdict on every machine.  Every threshold decision
+is one integer comparison: an area is pi F(D) times a rational fixed by
+D mod g (volume's side_factors, the closed form's one definition), below X
+exactly when F(D) is at most the class's bound T, found once per scan by
+compare_to_threshold; a listing prices its survivors as that rational
+times F(D).  The counting lemma counts F <= ceil(X) - 1 on the same
+windows.  Both keep nothing between calls and meet the same two refusals.
+Everything runs in the calling process: xi, surface_counts and
+enumerate_surfaces ignore their `jobs` keyword.
 
 Constants are truncated Euler products over a segmented prime sieve, with
 explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
@@ -42,9 +44,10 @@ from math import gcd
 import numpy as np
 
 from .classgroup import is_admissible
-from .hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
+from .hermitian import d0_and_D, divisors_below_sqrt
 from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, legendre, prime_blocks
-from .volume import PI_DIGITS, ExactArea, area_closed_form, compare_to_threshold, pi_bracket
+from .volume import PI_DIGITS, ExactArea, compare_to_threshold, pi_bracket, side_factors
+from .volume import F_value  # public here too, as bianchisurf.census.F_value
 
 DEFAULT_PRIME_LIMIT = 300_000_000
 
@@ -56,15 +59,6 @@ def _require_admissible(d: int) -> None:
 
 
 # --- the arithmetic weight F and its counting lemma ----------------------
-
-
-def F_value(d: int, n: int) -> Fraction:
-    """F(n) = n * prod_{p|n} (1 + chi(p)/p), exactly."""
-    chi = character(d)
-    out = Fraction(n)
-    for p, _ in factorize(n).factors:
-        out *= 1 + Fraction(chi.at_prime(p), p)
-    return out
 
 
 def _envelope_cap(d: int, base: Fraction, threshold: Fraction) -> int:
@@ -232,7 +226,7 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
         return 0
     start = r % a or a
     ncap = _envelope_cap(d, Fraction(1), X)
-    windows = _windows(d, [(start, a, len(range(start, ncap, a)))], 1)
+    windows = _windows(d, [(start, a, max(0, -(-(ncap - start) // a)))], 1)
     return sum(int(np.count_nonzero(F <= math.ceil(X) - 1)) for _, F in windows)
 
 
@@ -252,16 +246,6 @@ class SurfaceRecord:
         return ExactArea(self.q)
 
 
-def _exact_q(d: int, m: int, c: int) -> Fraction:
-    return area_closed_form(SurfaceIndex(d, m, c, 1)).q
-
-
-def _side_factors(p: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The Euler factor (1 - p^-2) / (1 - s/p) of a prime p | g = gcd(m, d)
-    at D with (D/p) = s, halved where p | D; indexed by s, so s = 0, 1, -1."""
-    return tuple(Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (0, 1, -1))
-
-
 def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
     """Cap on D for the residues m with gcd(m, d) = g.  Their area is
     g^2/(3d) * D * prod_{p|D, p not | d}(1 + chi(p)/p) * prod_{p|g} side factor
@@ -270,40 +254,42 @@ def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
     pi_lo, _, scale = pi_bracket(PI_DIGITS)
     base = Fraction(g * g * pi_lo, 3 * d * scale)
     for p, _ in factorize(g).factors:
-        base *= min(_side_factors(p))
+        base *= min(side_factors(p))
     return _envelope_cap(d, base, threshold)
 
 
-def _bounds(d: int, g: int, xs: list[Fraction]) -> np.ndarray:
-    """T[i, r] = the largest F with q(r) F pi < xs[i], or 0 if none; q(r) is
-    g^2/(3d) times the side factors of the p | g at D = r (mod g), fixed by
-    the symbols (r/p).  Each distinct q starts from floor(x / (q pi_lo)),
-    never too low as pi_lo < pi, and steps down while compare_to_threshold
-    puts q t pi above x."""
+def _bounds(d: int, g: int, xs: list[Fraction]) -> tuple[np.ndarray, list[Fraction]]:
+    """(T, qs): qs[r] = q(r), g^2/(3d) times the side factors of the p | g at
+    D = r (mod g), fixed by the symbols (r/p); T[i, r] = the largest F with
+    q(r) F pi < xs[i], or 0 if none.  Each distinct q starts from
+    floor(x / (q pi_lo)), never too low as pi_lo < pi, and steps down while
+    compare_to_threshold puts q t pi above x."""
     primes = [p for p, _ in factorize(g).factors]
     pi_lo, _, scale = pi_bracket(PI_DIGITS)
     symbols = [tuple(legendre(r, p) for p in primes) for r in range(g)]
-    bound = {}
+    qs, bound = {}, {}
     for key in dict.fromkeys(symbols):
-        q = Fraction(g * g, 3 * d) * math.prod(_side_factors(p)[s] for p, s in zip(primes, key))
+        qs[key] = q = Fraction(g * g, 3 * d) * math.prod(side_factors(p)[s] for p, s in zip(primes, key))
         bound[key] = column = []
         for x in xs:
             t = x * scale // (q * pi_lo)
             while t > 0 and compare_to_threshold(ExactArea(q * t), x) > 0:
                 t -= 1
             column.append(t)
-    return np.array([bound[key] for key in symbols], dtype=np.int64).T
+    return np.array([bound[key] for key in symbols], dtype=np.int64).T, [qs[key] for key in symbols]
 
 
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     """Every residue m in ascending order, c descending from c_start, the
     largest c with m^2 > c d: D = D0 + (d/g)^2 j at c = c_start - j, below
-    the envelope cap at bound_factor times the largest threshold.  Yields
-    (i, ms, cs) per window and threshold xs[i]: the pairs (m, c) of the
-    window with area exactly below xs[i].
+    the envelope cap at bound_factor times the largest threshold.  Returns
+    (qs, windows): windows yields, per window, the candidates' arrays
+    (m, c, D, F, col) and one mask per threshold xs[i], set where the area
+    qs[col] * F * pi is exactly below xs[i].
 
     Each window of candidates is sieved once (_windows), and each candidate
-    is below xs[i] exactly when F(D) <= T[i, D mod g] (_bounds)."""
+    is below xs[i] exactly when F(D) <= T[i, col], col the class of D mod g
+    (_bounds).  Both refusals come before any bound is computed."""
     top = max(xs) * bound_factor
     gs = [gcd(m, d) for m in range(d)]
     caps = {g: _residue_cap(d, g, top) for g in set(gs)}
@@ -311,31 +297,36 @@ def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     progs = []
     for m, c in enumerate(c_starts):
         d0, D0 = d0_and_D(d, m, c)
-        progs.append((D0, d0 * d0, len(range(D0, caps[gs[m]], d0 * d0))))
-    windows = _windows(d, progs, len(xs))  # refuses before any bound is computed
+        progs.append((D0, d0 * d0, max(0, -(-(caps[gs[m]] - D0) // (d0 * d0)))))
+    windows = _windows(d, progs, len(xs))
     # every g's table side by side: column offset[g] + r holds its class r
-    T = np.concatenate([_bounds(d, g, xs) for g in caps], axis=1)
+    tables = [_bounds(d, g, xs) for g in caps]
+    T = np.concatenate([t for t, _ in tables], axis=1)
+    qs = [q for _, column in tables for q in column]
     offset = dict(zip(caps, accumulate(caps, initial=0)))
-    for pieces, W in windows:
-        # read through an index array: perfbench counts such reads as candidates
-        F = W[np.arange(len(W))]
-        m, c, col = np.empty((3, len(F)), dtype=np.int64)
-        for k, j, piece in pieces:  # progression k is residue m = k
-            D0, step, _ = progs[k]
-            m[piece], c[piece], col[piece] = k, c_starts[k] - j, offset[gs[k]] + (D0 + step * j) % gs[k]
-        for i in range(len(xs)):
-            below = F <= T[i, col]
-            yield i, m[below], c[below]
+
+    def scanned():
+        for pieces, W in windows:
+            # read through an index array: perfbench counts such reads as candidates
+            F = W[np.arange(len(W))]
+            m, c, D, col = np.empty((4, len(F)), dtype=np.int64)
+            for k, j, piece in pieces:  # progression k is residue m = k
+                D0, step, _ = progs[k]
+                D[piece] = Dk = D0 + step * j
+                m[piece], c[piece], col[piece] = k, c_starts[k] - j, offset[gs[k]] + Dk % gs[k]
+            yield m, c, D, F, col, [F <= T[i, col] for i in range(len(xs))]
+
+    return qs, scanned()
 
 
 def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -> list[SurfaceRecord]:
     """All surface records with area strictly below X, sorted by
     (q, m, c, r); every (m, c) appears once per divisor class r.
 
-    Intended for record listings at moderate thresholds: each survivor gets
-    an exact rational area.  Use xi or surface_counts for large scans.
-    bound_factor >= 1 widens the envelope caps; jobs is accepted and
-    ignored."""
+    Intended for record listings at moderate thresholds: each survivor is
+    priced exactly as its class's rational times its F(D) from the scan.
+    Use xi or surface_counts for large scans.  bound_factor >= 1 widens the
+    envelope caps; jobs is accepted and ignored."""
     if bound_factor < 1:
         raise ValueError(f"bound_factor must be at least 1, got {bound_factor}")
     _require_admissible(d)
@@ -343,12 +334,11 @@ def enumerate_surfaces(d: int, X, bound_factor: int = 1, jobs: int | None = 1) -
     if X <= 0:
         return []
     rs = divisors_below_sqrt(d)
+    qs, windows = _scan_all(d, [X], bound_factor)
     records = []
-    for _, ms, cs in _scan_all(d, [X], bound_factor):
-        for m, c in zip(ms.tolist(), cs.tolist()):
-            d0, D = d0_and_D(d, m, c)
-            q = _exact_q(d, m, c)
-            records.extend(SurfaceRecord(m, c, r, d0, D, q) for r in rs)
+    for *arrays, (below,) in windows:
+        for m, c, D, F, col in zip(*(a[below].tolist() for a in arrays)):
+            records.extend(SurfaceRecord(m, c, r, d // gcd(m, d), D, qs[col] * F) for r in rs)
     records.sort(key=lambda t: (t.q, t.m, t.c, t.r))
     return records
 
@@ -375,8 +365,8 @@ def surface_counts(d: int, thresholds: list, jobs: int | None = 1) -> list[int]:
         raise ValueError("thresholds must be positive")
     mult = len(divisors_below_sqrt(d))
     counts = [0] * len(xs)
-    for i, _, cs in _scan_all(d, xs, bound_factor=1):
-        counts[i] += mult * len(cs)
+    for *_, below in _scan_all(d, xs, bound_factor=1)[1]:
+        counts = [n + mult * int(np.count_nonzero(mask)) for n, mask in zip(counts, below)]
     return counts
 
 

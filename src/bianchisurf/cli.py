@@ -30,8 +30,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-_COMMANDS = ("check", "area", "census", "constant", "fit", "lemma-count", "verify")
-
 
 def _parse_threshold(text: str) -> Fraction:
     try:
@@ -218,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and not argv[0].startswith("-") and argv[0] not in commands:
         print(f"unknown subcommand: {argv[0]}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -1,10 +1,13 @@
 """Exact surface areas, twice.
 
 area_closed_form evaluates the explicit Euler-factor formula attached to the
-surface index.  area_via_order rebuilds the same number from the quaternion
-order: reduced discriminant from the trace form, local symbols and norm
-indices from brute-force residue enumeration.  The two code paths share no
-local computation, which is what makes their agreement a real test.
+surface index, q = g^2/(3d) * prod_{p|g} side factor * F(D) with g = gcd(m, d);
+side_factors and F_value are its only definitions, and the census prices its
+bounds and its listings from them.  area_via_order rebuilds the same number
+from the quaternion order: reduced discriminant from the trace form, local
+symbols and norm indices from brute-force residue enumeration.  The two code
+paths share no local computation, which is what makes their agreement a real
+test.
 """
 
 from __future__ import annotations
@@ -53,21 +56,28 @@ class ExactArea:
         return digits[:-places] + "." + digits[-places:]
 
 
-def area_closed_form(idx: SurfaceIndex) -> ExactArea:
-    """Area multiplier from the explicit formula; never reads idx.r."""
-    d = idx.d
-    d0, D = surface_invariants(idx)
+def side_factors(p: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The Euler factor (1 - p^-2) / (1 - s/p) of a prime p | g = gcd(m, d)
+    at D with (D/p) = s, halved where p | D; indexed by s, so s = 0, 1, -1."""
+    return tuple(Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (0, 1, -1))
+
+
+def F_value(d: int, n: int) -> Fraction:
+    """F(n) = n * prod_{p|n} (1 + chi(p)/p), exactly."""
     chi = character(d)
-    q = Fraction(d, d0 * d0) / 3
-    side_primes = [p for p, _ in factorize(d // d0).factors] if d > d0 else []
-    omega_shared = sum(1 for p in side_primes if D % p == 0)
-    q /= 2**omega_shared
-    for p in side_primes:
-        q *= Fraction(p * p - 1, p * p) / (1 - Fraction(legendre(D, p), p))
-    q *= D
-    for p, _ in factorize(D).factors:
-        if d % p:
-            q *= 1 + Fraction(chi.at_prime(p), p)
+    out = Fraction(n)
+    for p, _ in factorize(n).factors:
+        out *= 1 + Fraction(chi.at_prime(p), p)
+    return out
+
+
+def area_closed_form(idx: SurfaceIndex) -> ExactArea:
+    """The explicit formula g^2/(3d) * prod_{p|g} side factor * F(D), g = gcd(m, d); never reads idx.r."""
+    d0, D = surface_invariants(idx)
+    g = idx.d // d0
+    q = Fraction(g * g, 3 * idx.d) * F_value(idx.d, D)
+    for p, _ in factorize(g).factors:
+        q *= side_factors(p)[legendre(D, p)]
     return ExactArea(q)
 
 

@@ -31,7 +31,7 @@ from bianchisurf.census import (
     weight_ratio_array,
     xi,
 )
-from bianchisurf.hermitian import SurfaceIndex, divisors_below_sqrt
+from bianchisurf.hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
 from bianchisurf.ntkernel import PRIME_BLOCK, character, factorize
 from bianchisurf.verify import (
     _MERTENS,
@@ -199,6 +199,10 @@ def test_census_past_factorization_limit_refused(monkeypatch):
     monkeypatch.setattr(census, "prime_blocks", no_sieve)
     with pytest.raises(ValueError, match="factorization limit"):
         xi(3, 10**12)
+    # progression lengths past the C ssize_t range are refused too, not crashed on
+    for d, X in ((3, 10**19), (195, 10**19), (3, Fraction("1e400"))):
+        with pytest.raises(ValueError, match="factorization limit"):
+            xi(d, X)
 
 
 def test_infeasible_lemma_refused(monkeypatch):
@@ -327,12 +331,15 @@ def test_records_match_reference_listing():
         Fraction(2, 3),
     ]
     assert all(t.r == 1 for t in records)
-    for t in records:
-        assert t.q == area_closed_form(SurfaceIndex(3, t.m, t.c, t.r)).q
-        assert (t.d0, t.D) == (
-            3 // gcd(t.m, 3),
-            (t.m * t.m * 3 - t.c * 9) // gcd(t.m, 3) ** 2,
-        )
+    # listings are priced from the scan's class rational and F(D); check each
+    # record against the closed form and the circle's own invariants
+    for d in SWEEP_DS + (195, 227):
+        records = enumerate_surfaces(d, 30)
+        assert len(records) == xi(d, 30)
+        for t in records:
+            assert t.q == area_closed_form(SurfaceIndex(d, t.m, t.c, t.r)).q
+            assert (t.d0, t.D) == d0_and_D(d, t.m, t.c)
+            assert compare_to_threshold(t.area(), 30) < 0
 
 
 def test_records_sorted_and_r_spread():

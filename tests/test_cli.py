@@ -86,9 +86,11 @@ def test_infeasible_census_exit_code(capsys):
 
 
 def test_lemma_past_factorization_limit_exit_code(capsys):
-    rc, out, err = run(capsys, "lemma-count", "3", "1", "0", "1000000000000")
-    assert rc == EXIT_DOMAIN
-    assert out == "" and err.startswith("error:") and "factorization limit" in err
+    # progression lengths past the C ssize_t range are refused too, not crashed on
+    for args in (("3", "1", "0", "1000000000000"), ("3", "1", "0", "1e25"), ("15", "15", "4", "1e400")):
+        rc, out, err = run(capsys, "lemma-count", *args)
+        assert rc == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:") and "factorization limit" in err
 
 
 def test_lemma_count_output(capsys):
