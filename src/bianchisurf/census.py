@@ -8,10 +8,13 @@ primes q, k the most whose product is at most D, and each side factor of a
 prime of g is at least its minimum.  One sieve loop (_windows) lays the
 progressions end to end and cuts them into windows of at most _CHUNK
 entries.  Each window gets the integers F(D) = D prod_{p|D}(1 + chi(p)/p)
-from one progression sieve (weight_ratio_array), by the primes up to the
-square root of its largest D, and its c below each threshold are counted or
-listed, so no array grows with the cap.  Requests past the factorization
-limit 10^12, however large the threshold, or past a fixed budget of
+from one progression sieve (weight_ratio_array), and its c below each
+threshold are counted or listed, so no array grows with the cap.  The sieve
+takes progressions whose e = gcd(D0, step) has only primes of d (the census
+sends e = d/g, the lemma a divisor of a) and refuses any other; it sieves
+n = D/e, by the primes up to the square root of max D/e, and returns
+F(D) = e F(D/e).  Requests past the factorization limit 10^12, however
+large the threshold, or past a fixed budget of
 candidates times thresholds (_MAX_PRICED) are refused before anything is
 sieved, with the same verdict on every machine.  Every threshold decision
 is one integer comparison: an area is pi F(D) times a rational fixed by
@@ -61,7 +64,7 @@ def _require_admissible(d: int) -> None:
 # --- the arithmetic weight F and its counting lemma ----------------------
 
 
-def _envelope_cap(d: int, base: Fraction, threshold: Fraction) -> int:
+def _envelope_cap(d: int, base: Fraction, threshold: Fraction, step: int) -> int:
     """First D such that base * n * L(n) > threshold for every n >= D.
 
     Take the inert primes q_1 < q_2 < ... of chi_d (p not | d, chi(p) = -1),
@@ -77,7 +80,14 @@ def _envelope_cap(d: int, base: Fraction, threshold: Fraction) -> int:
     it falls to base * Q_{k+1} L_{k+1} = base * Q_k L_k (q_{k+1} - 1) >=
     base * Q_k L_k, the bottom of the piece before: the bottoms never fall,
     so once the next jump clears the threshold every later n does.  The cap
-    is then the first n of the current piece that clears, or the jump."""
+    is then the first n of the current piece that clears, or the jump.
+
+    Refused before the walk, whose products grow with the threshold, when
+    threshold >= base (10^12 + step): as L <= 1 the cap then passes
+    threshold / base, so a progression of this step starting below the cap
+    has an entry at or past the factorization limit 10^12 below it."""
+    if threshold >= base * (_FACTOR_LIMIT + step):
+        raise ValueError(f"would sieve past the factorization limit {_FACTOR_LIMIT}")
     if base > threshold:
         return 1
     chi = character(d)
@@ -97,21 +107,29 @@ _STRIDED = 16  # a segment at least this many times p long is sieved by slices
 def weight_ratio_array(d: int, segments) -> np.ndarray:
     """F(D) = D * prod_{p | D, p not | d} (1 + chi(p)/p) over the progressions
     D = D0 + step * j, 0 <= j < count, one (D0, step, count) per segment,
-    concatenated, as int64: the part of D at the primes of d times p^(e-1)
-    (p + chi(p)) for each other p^e || D, below 6 * 10^12 with every partial
-    product for D < 10^12.  Needs D0 >= 1 and step >= 1.
+    concatenated, as int64: the part of D at the primes of d times p^(k-1)
+    (p + chi(p)) for each other p^k || D, below 6 * 10^12 with every partial
+    product for D < 10^12.  Needs D0 >= 1, step >= 1, and every prime of
+    e = gcd(D0, step) dividing d, as in the census (e = d/g) and the lemma
+    (e | a).
 
-    One sieve by the primes up to sqrt(max D).  p^k divides D exactly on a
-    class of j mod p^k / gcd(step, p^k).  Long segments mark these classes
-    with slices while they are dense; the short ones mark p's class all at
-    once with one index array.  On p's class F becomes F // p * (p + chi(p)),
-    exact in any order, as no other prime lowers the power of p in F; p is
-    divided out of a cofactor as often as it divides.  The cofactor left is
-    1 or one prime, treated the same way from the residue table.
+    Then F(D) = e F(D/e), so the sieve runs on n = D/e = D0/e + (step/e) j,
+    whose start is prime to its step, by the primes up to sqrt(max n).  A
+    prime of the step divides no n; any other p^k divides n exactly on one
+    class of j mod p^k.  Long segments mark these classes with slices while
+    they are dense; the short ones mark p's class all at once with one index
+    array.  On p's class F becomes F // p * (p + chi(p)), exact in any order,
+    as no other prime lowers the power of p in F; p is divided out of a
+    cofactor as often as it divides.  The cofactor left is 1 or one prime,
+    treated the same way from the residue table.
     """
     segments = [tuple(map(int, seg)) for seg in segments]
     if any(D0 < 1 or step < 1 for D0, step, _ in segments):
         raise ValueError("progressions must start at D0 >= 1 with step >= 1")
+    e = [gcd(D0, step) for D0, step, _ in segments]
+    if any(pow(d, g.bit_length(), g) for g in e):  # g | d^k, k past every exponent of g
+        raise ValueError(f"gcd(D0, step) must have only primes of d = {d}")
+    segments = [(D0 // g, step // g, n) for (D0, step, n), g in zip(segments, e)]
     D0, step, count = np.array(segments, dtype=np.int64).reshape(-1, 3).T
     start = np.cumsum(count) - count
     rest = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(a, a + b * n, b, dtype=np.int64) for a, b, n in segments])
@@ -123,35 +141,27 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
     for block in prime_blocks(math.isqrt(int(rest.max())) + 1):
         for p in block.tolist():
             ch = int(table[p % d])
-            long = count >= _STRIDED * p
+            unit = step % p != 0  # p divides no entry where it divides the step
+            long = unit & (count >= _STRIDED * p)
             divisible = []  # entries still divisible by p after the slices
             for s in np.flatnonzero(long).tolist():
                 a, b, n = segments[s]
                 lo, hi, pk = int(start[s]), int(start[s]) + n, p
-                while not a % (g := gcd(b, pk)):
-                    # p^k | a + b j exactly for j = -(a/g) (b/g)^-1 (mod pk/g)
-                    by = pk // g
-                    j = lo + (-a // g) * pow(b // g, -1, by) % by
-                    if pk == p and ch:
-                        F[j:hi:by] //= p
-                        F[j:hi:by] *= p + ch
-                    if by * _STRIDED > n:
-                        divisible.append(np.arange(j, hi, by))
-                        break
-                    rest[j:hi:by] //= p
+                j = lo + -a * pow(b, -1, p) % p
+                F[j:hi:p] //= p
+                F[j:hi:p] *= p + ch
+                while pk * _STRIDED <= n:
+                    rest[j:hi:pk] //= p
                     pk *= p
-            if not long.all():
-                # p divides D at j = -D0 / step (mod p) where step is a
-                # unit, on the whole segment or nowhere where p divides step
-                unit = step % p != 0
+                    j = lo + -a * pow(b, -1, pk) % pk  # p^k | a + b j
+                divisible.append(np.arange(j, hi, pk))
+            if (short := unit & ~long).any():
                 inverse = np.array([pow(b, -1, p) if b % p else 0 for b in steps.tolist()], dtype=np.int64)
                 j0 = (-D0 % p) * inverse[which] % p
-                stride = np.where(unit, p, 1)
-                per_seg = np.where(long | ~(unit | (D0 % p == 0)), 0, (count - j0 + stride - 1) // stride)
-                hits = np.repeat(start + j0 - stride * (np.cumsum(per_seg) - per_seg), per_seg)
-                hits += np.repeat(stride, per_seg) * np.arange(len(hits))
-                if ch:
-                    F[hits] = F[hits] // p * (p + ch)
+                per_seg = np.where(short, (count - j0 + p - 1) // p, 0)
+                hits = np.repeat(start + j0 - p * (np.cumsum(per_seg) - per_seg), per_seg)
+                hits += p * np.arange(len(hits))
+                F[hits] = F[hits] // p * (p + ch)
                 divisible.append(hits)
             hits = np.concatenate(divisible or [np.empty(0, dtype=np.int64)])
             while len(hits):
@@ -160,7 +170,7 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
     big = np.flatnonzero(rest > 1)
     q = rest[big]
     F[big] = F[big] // q * (q + table[q % d])
-    return F
+    return F * np.repeat(e, count)
 
 
 _CHUNK = 1 << 17
@@ -225,7 +235,7 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     if X <= 1:
         return 0
     start = r % a or a
-    ncap = _envelope_cap(d, Fraction(1), X)
+    ncap = _envelope_cap(d, Fraction(1), X, a)
     windows = _windows(d, [(start, a, max(0, -(-(ncap - start) // a)))], 1)
     return sum(int(np.count_nonzero(F <= math.ceil(X) - 1)) for _, F in windows)
 
@@ -255,7 +265,7 @@ def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
     base = Fraction(g * g * pi_lo, 3 * d * scale)
     for p, _ in factorize(g).factors:
         base *= min(side_factors(p))
-    return _envelope_cap(d, base, threshold)
+    return _envelope_cap(d, base, threshold, (d // g) ** 2)
 
 
 def _bounds(d: int, g: int, xs: list[Fraction]) -> tuple[np.ndarray, list[Fraction]]:

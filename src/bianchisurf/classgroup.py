@@ -205,7 +205,9 @@ def is_admissible(d: int) -> AdmissibilityResult:
     """
     if d == 4:
         return AdmissibilityResult(4, True, "d4-constant-only", None)
-    if d < 1 or not is_squarefree(d):
+    if d < 1:
+        return AdmissibilityResult(d, False, "not positive", None)
+    if not is_squarefree(d):
         return AdmissibilityResult(d, False, "not square-free", None)
     if d % 4 != 3:
         return AdmissibilityResult(d, False, "not 3 mod 4", None)

@@ -79,16 +79,24 @@ _prime_powers = st.builds(
 def _segments(draw):
     d = draw(st.sampled_from([3, 4, 7, 11, 15, 19, 35, 195, 227]))
     # census steps (d/g)^2, powers of d, steps with primes outside d, and
-    # prime powers; starts anywhere or at high prime powers; counts from 0
+    # prime powers; starts anywhere, at high prime powers, or at multiples of
+    # a divisor of d; counts from 0.  Only segments the sieve accepts: every
+    # prime of gcd(start, step) divides d.
     g = st.sampled_from([1, 3, 5, 7]).filter(lambda g: d % g == 0)
     steps = st.one_of(
         st.just(1),
         st.builds(lambda g, e: (d // g) ** e, g, st.integers(1, 2)),
         st.integers(1, 10**5),
         _prime_powers.filter(lambda n: n <= 10**5),
+        st.integers(1, 500).map(lambda k: k * d),
     )
-    starts = st.one_of(st.integers(1, 4 * 10**7), _prime_powers)
-    return d, draw(st.lists(st.tuples(starts, steps, st.integers(0, 40)), max_size=4))
+    divisors = [k for k in range(d, 0, -1) if d % k == 0]
+    shared = st.builds(operator.mul, st.sampled_from(divisors), st.integers(1, 10**6))
+    starts = st.one_of(st.integers(1, 4 * 10**7), _prime_powers, shared, shared.map(lambda n: n * d))
+    accepted = st.tuples(starts, steps, st.integers(0, 40)).filter(
+        lambda seg: all(d % p == 0 for p, _ in factorize(gcd(seg[0], seg[1])).factors)
+    )
+    return d, draw(st.lists(accepted, max_size=4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,6 +114,8 @@ def test_weight_ratio_array_never_sieves_zero():
         weight_ratio_array(3, [(0, 1, 5)])
     with pytest.raises(ValueError):
         weight_ratio_array(3, [(1, 0, 5)])
+    with pytest.raises(ValueError):
+        weight_ratio_array(3, [(4, 2, 5)])  # gcd(4, 2) = 2 does not divide 3
     assert len(weight_ratio_array(3, [])) == 0
 
 
@@ -134,7 +144,10 @@ def test_count_F_reference_and_brute():
     assert count_F_in_progression(3, 3, 0, 10) == 5
     assert count_F_in_progression(3, 1, 0, 3) == 3  # n in {1, 2, 4}
     assert count_F_in_progression(3, 1, 0, 1) == 0
-    for d, a, r, X in ((3, 1, 0, 30), (3, 3, 0, 50), (15, 15, 4, 300)):
+    cases = [(3, 1, 0, 30), (3, 3, 0, 50), (15, 15, 4, 300)]
+    # starts sharing primes with a: the sieve divides gcd(start, a) out
+    cases += [(15, 15, 0, 300), (15, 15, 3, 300), (15, 15, 5, 300), (3, 9, 3, 60), (4, 4, 2, 60), (195, 15, 10, 3000)]
+    for d, a, r, X in cases:
         assert count_F_in_progression(d, a, r, X) == _brute_count_F(d, a, r, Fraction(X))
 
 
@@ -199,8 +212,9 @@ def test_census_past_factorization_limit_refused(monkeypatch):
     monkeypatch.setattr(census, "prime_blocks", no_sieve)
     with pytest.raises(ValueError, match="factorization limit"):
         xi(3, 10**12)
-    # progression lengths past the C ssize_t range are refused too, not crashed on
-    for d, X in ((3, 10**19), (195, 10**19), (3, Fraction("1e400"))):
+    # progression lengths past the C ssize_t range are refused too, not crashed
+    # on, and thresholds of 20000 and 300000 digits before the envelope walk
+    for d, X in ((3, 10**19), (195, 10**19), (3, Fraction("1e400")), (3, Fraction("1e20000")), (3, Fraction("1e300000"))):
         with pytest.raises(ValueError, match="factorization limit"):
             xi(d, X)
 
@@ -464,7 +478,7 @@ def test_envelope_cap_is_sound_independently(d):
                     return area > mpmath.mpf(X.numerator) / X.denominator
 
             check(_residue_cap(d, g, X), clears)
-        check(_envelope_cap(d, Fraction(1), X), lambda n: envelope(n) > X)
+        check(_envelope_cap(d, Fraction(1), X, 1), lambda n: envelope(n) > X)
 
 
 def test_envelope_cap_excludes_heavy_surfaces():

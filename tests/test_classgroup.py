@@ -133,5 +133,9 @@ def test_admissibility_verdicts():
     assert res39.invariants == (4,)
     assert "4" in res39.reason
     assert not is_admissible(12).admissible  # not square-free
+    assert is_admissible(12).reason == "not square-free"
+    for d in (0, -3):
+        res = is_admissible(d)
+        assert not res.admissible and res.reason == "not positive"
     assert not is_admissible(21).admissible  # 21 = 1 mod 4
     assert is_admissible(4).admissible  # constant-chain special case

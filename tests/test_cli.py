@@ -86,8 +86,10 @@ def test_infeasible_census_exit_code(capsys):
 
 
 def test_lemma_past_factorization_limit_exit_code(capsys):
-    # progression lengths past the C ssize_t range are refused too, not crashed on
-    for args in (("3", "1", "0", "1000000000000"), ("3", "1", "0", "1e25"), ("15", "15", "4", "1e400")):
+    # progression lengths past the C ssize_t range are refused too, not crashed
+    # on, and a threshold of 300000 digits before the envelope walk
+    lemmas = (("3", "1", "0", "1000000000000"), ("3", "1", "0", "1e25"), ("15", "15", "4", "1e400"), ("3", "1", "0", "1e300000"))
+    for args in lemmas:
         rc, out, err = run(capsys, "lemma-count", *args)
         assert rc == EXIT_DOMAIN
         assert out == "" and err.startswith("error:") and "factorization limit" in err
