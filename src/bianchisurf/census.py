@@ -93,7 +93,7 @@ def _envelope_cap(d: int, base: Fraction, threshold: Fraction, step: int) -> int
     chi = character(d)
     Q, L = 1, Fraction(1)
     for q in PRIMES:
-        if chi.at_prime(q) != -1:
+        if chi(q) != -1:
             continue
         if base * Q * (q - 1) * L > threshold:
             return min(Q * q, int(threshold / (base * L)) + 1)
@@ -120,8 +120,10 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
     they are dense; the short ones mark p's class all at once with one index
     array.  On p's class F becomes F // p * (p + chi(p)), exact in any order,
     as no other prime lowers the power of p in F; p is divided out of a
-    cofactor as often as it divides.  The cofactor left is 1 or one prime,
-    treated the same way from the residue table.
+    cofactor as often as it divides, which is fewer times than max n has
+    bits, so a p that divides on past that is a sieve defect and raises
+    RuntimeError.  The cofactor left is 1 or one prime, treated the same way
+    from the character's table.
     """
     segments = [tuple(map(int, seg)) for seg in segments]
     if any(D0 < 1 or step < 1 for D0, step, _ in segments):
@@ -136,9 +138,11 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
     F = rest.copy()
     if not len(rest):
         return F
-    table = character(d).residue_table()
+    table = character(d).table
+    top = int(rest.max())
+    bits = top.bit_length()  # p^k <= max n needs k < bits
     steps, which = np.unique(step, return_inverse=True)
-    for block in prime_blocks(math.isqrt(int(rest.max())) + 1):
+    for block in prime_blocks(math.isqrt(top) + 1):
         for p in block.tolist():
             ch = int(table[p % d])
             unit = step % p != 0  # p divides no entry where it divides the step
@@ -164,9 +168,13 @@ def weight_ratio_array(d: int, segments) -> np.ndarray:
                 F[hits] = F[hits] // p * (p + ch)
                 divisible.append(hits)
             hits = np.concatenate(divisible or [np.empty(0, dtype=np.int64)])
-            while len(hits):
+            for _ in range(bits):
+                if not len(hits):
+                    break
                 rest[hits] //= p
                 hits = hits[rest[hits] % p == 0]
+            if len(hits):
+                raise RuntimeError(f"sieve defect: p = {p} still divides an entry after {bits} divisions")
     big = np.flatnonzero(rest > 1)
     q = rest[big]
     F[big] = F[big] // q * (q + table[q % d])
@@ -215,6 +223,7 @@ def _check_prime_limit(prime_limit: int) -> None:
 
 
 def _check_modulus(d: int, a: int) -> None:
+    character(d)  # refuses an unsupported d, even where nothing is sieved
     if a < 1:
         raise ValueError(f"modulus must be positive, got {a}")
     for p, _ in factorize(a).factors:
@@ -448,7 +457,6 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
     missing = [d for d in dict.fromkeys(ds) if (d, limit) not in _SUMS_CACHE]
     if missing:
         grid = range(3, limit + 1, PRIME_BLOCK)
-        tables = {d: character(d).residue_table() for d in missing}
         # each d resumes from its largest cached grid point
         joins = {d: next((k for k in range(len(grid) - 1, 0, -1) if (d, grid[k]) in _SUMS_CACHE), 0) for d in missing}
         sums = {d: list(_SUMS_CACHE.get((d, grid[k]), (0.0, 0.0, 0))) for d, k in joins.items()}
@@ -459,7 +467,7 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
             for d in missing:
                 if joins[d] > k:
                     continue
-                ch = tables[d][block % d].astype(np.float64)
+                ch = character(d).table[block % d].astype(np.float64)
                 x_main = ((1.0 / pf) - ch * ch - ch) / (pf * pf)
                 x_c = -ch / (pf * (pf + ch))
                 s = sums[d]
@@ -579,8 +587,7 @@ def residue_constant_check(d: int, a: int, prime_limit: int = 10_000_000) -> Res
     reads _SUMS_CACHE, so it stays an independent check of constant_C."""
     _check_modulus(d, a)
     _check_prime_limit(prime_limit)
-    chi = character(d)
-    table = chi.residue_table()
+    table = character(d).table
     logsum = 0.0
     for block in prime_blocks(prime_limit):
         pf = block.astype(np.float64)

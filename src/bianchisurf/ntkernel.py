@@ -1,9 +1,9 @@
 """Elementary number theory shared by every other module.
 
 Integer factorization backed by a smallest-prime-factor sieve, Legendre
-symbols and the quadratic character of an imaginary quadratic field, divisor
-statistics, and bulk prime generation for Euler products.  Scalar results are
-exact integers; numpy appears only inside sieves and block enumeration.
+symbols, the quadratic character of an imaginary quadratic field as one
+read-only table, divisor statistics and bulk prime blocks for Euler products.
+Scalar results are exact integers; numpy appears only in sieves and tables.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -134,22 +134,14 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def kronecker_at_two(a: int) -> int:
-    """Kronecker symbol (a/2): 0 for even a, +1 for a = +-1 mod 8, else -1."""
-    if a % 2 == 0:
-        return 0
-    return 1 if a % 8 in (1, 7) else -1
-
-
 @dataclass(frozen=True)
 class QuadraticCharacter:
-    """Quadratic character of the imaginary quadratic field with d = 3 mod 4
-    square-free (discriminant -d), or the special modulus d = 4.
-
-    On primes: chi(p) = legendre(-d, p) for odd p not dividing d, the
-    mod-8 rule (-1)^((d^2-1)/8) at p = 2, and 0 on p | d.  Extended to all
-    positive integers by complete multiplicativity; the result is periodic
-    mod d, exposed by residue_table for bulk evaluation.
+    """Quadratic character chi_{-d} of discriminant -d for square-free d = 3
+    mod 4, or chi_{-4} when d = 4: the Jacobi symbol (n/d) = prod_{p|d} (n/p),
+    as reciprocity gives (-d/q) = (q/d) at odd primes q not dividing d, the
+    mod-8 rule gives (-d/2) = (2/d), and both vanish on p | d.  So chi is one
+    int64 table of period d below _SIEVE_LIMIT, built once from the squares
+    mod each p | d and not writeable: chi(n) = table[n % d].
     """
 
     d: int
@@ -160,44 +152,31 @@ class QuadraticCharacter:
         if self.d % 4 != 3 or not is_squarefree(self.d):
             raise ValueError(f"unsupported character modulus {self.d}")
 
-    def at_prime(self, p: int) -> int:
+    @cached_property
+    def table(self) -> np.ndarray:
+        if self.d >= _SIEVE_LIMIT:  # no table larger than _SPF
+            raise ValueError(f"character modulus {self.d} is past the table limit {_SIEVE_LIMIT}")
         if self.d == 4:
-            if p == 2:
-                return 0
-            return 1 if p % 4 == 1 else -1
-        if p == 2:
-            return kronecker_at_two(-self.d)
-        if self.d % p == 0:
-            return 0
-        return legendre(-self.d, p)
+            out = np.array([0, 1, 0, -1], dtype=np.int64)
+        else:
+            out = np.ones(self.d, dtype=np.int64)
+            for p, _ in factorize(self.d).factors:
+                squares = np.full(p, -1, dtype=np.int64)
+                squares[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+                squares[0] = 0
+                out *= np.tile(squares, self.d // p)
+        out.flags.writeable = False
+        return out
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"character argument must be nonnegative, got {n}")
-        if n == 0:
-            return 0
-        out = 1
-        for p, e in factorize(n).factors:
-            v = self.at_prime(p)
-            if v == 0:
-                return 0
-            if e % 2 == 1:
-                out *= v
-        return out
-
-    def residue_table(self) -> np.ndarray:
-        """chi(k) for k = 0..d-1 as int64; chi(n) = table[n % d]."""
-        return np.array([0] + [self(k) for k in range(1, self.d)], dtype=np.int64)
+        return int(self.table[n % self.d])
 
 
 @lru_cache(maxsize=64)
 def character(d: int) -> QuadraticCharacter:
     return QuadraticCharacter(d)
-
-
-def chi(d: int, n: int) -> int:
-    """chi_{-d}(n) (or chi_{-4} when d = 4)."""
-    return character(d)(n)
 
 
 # integers per block of prime_blocks; also the checkpoint grid of census's

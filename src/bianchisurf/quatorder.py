@@ -17,7 +17,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .hermitian import HermitianCircle, Mat2, QuadExt
-from .ntkernel import is_prime, kronecker_at_two, legendre
+from .ntkernel import character, is_prime, legendre
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,13 @@ def _check_local_prime(d: int, D: int, d0: int, p: int) -> None:
 
 
 def eichler_symbol_closed(d: int, D: int, d0: int, p: int) -> int:
-    """Local symbol from the two residue formulas: legendre(-d,p) +
-    legendre(D,p) for odd p, the mod-8 character value at p = 2."""
+    """Local symbol from the two residue formulas: chi(p) + legendre(D,p) for
+    odd p, where chi(p) = legendre(-d,p), 0 on p | d; chi(2) at p = 2."""
     _check_local_prime(d, D, d0, p)
+    chi = character(d)
     if p == 2:
-        return kronecker_at_two(-d)
-    val = legendre(-d, p) + legendre(D, p)
+        return chi(2)
+    val = chi(p) + legendre(D, p)
     if val not in (-1, 0, 1):
         raise ValueError(f"symbol sum {val} out of range; p cannot divide dD/d0^2")
     return val

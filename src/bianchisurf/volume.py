@@ -62,12 +62,13 @@ def side_factors(p: int) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (0, 1, -1))
 
 
-def F_value(d: int, n: int) -> Fraction:
-    """F(n) = n * prod_{p|n} (1 + chi(p)/p), exactly."""
+def F_value(d: int, n: int) -> int:
+    """F(n) = n * prod_{p|n} (1 + chi(p)/p) as the integer product of
+    p^(k-1) (p + chi(p)) over p^k || n."""
     chi = character(d)
-    out = Fraction(n)
-    for p, _ in factorize(n).factors:
-        out *= 1 + Fraction(chi.at_prime(p), p)
+    out = 1
+    for p, k in factorize(n).factors:
+        out *= p ** (k - 1) * (p + chi(p))
     return out
 
 

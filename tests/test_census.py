@@ -4,6 +4,7 @@ import bisect
 import math
 import operator
 import os
+import signal
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -32,7 +33,7 @@ from bianchisurf.census import (
     xi,
 )
 from bianchisurf.hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
-from bianchisurf.ntkernel import PRIME_BLOCK, character, factorize
+from bianchisurf.ntkernel import PRIME_BLOCK, character, factorize, prime_blocks
 from bianchisurf.verify import (
     _MERTENS,
     SWEEP_DS,
@@ -53,6 +54,7 @@ def test_F_values():
     assert F_value(3, 4) == 2
     assert F_value(3, 7) == 8  # chi(7) = +1
     assert F_value(3, 12) == 6
+    assert type(F_value(3, 12)) is int
     assert F_value(3, 49) == 56
 
 
@@ -66,7 +68,7 @@ def test_weight_ratio_matches_F():
 def _naive_F(d: int, D: int) -> int:
     F = 1
     for p, e in factorize(D).factors:
-        F *= p**e if d % p == 0 else p ** (e - 1) * (p + character(d).at_prime(p))
+        F *= p**e if d % p == 0 else p ** (e - 1) * (p + character(d)(p))
     return F
 
 
@@ -119,6 +121,27 @@ def test_weight_ratio_array_never_sieves_zero():
     assert len(weight_ratio_array(3, [])) == 0
 
 
+def test_weight_ratio_array_sieve_defect_raises(monkeypatch):
+    # every prime sieved twice floors cofactors to 0, which every p divides;
+    # the division loop is bounded, so the defect raises instead of looping
+    def twice(*args):
+        for block in prime_blocks(*args):
+            yield np.repeat(block, 2)
+
+    def expire(signum, frame):
+        raise TimeoutError("weight_ratio_array still running after 20 s")
+
+    monkeypatch.setattr(census, "prime_blocks", twice)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="p = 2 "):
+            weight_ratio_array(3, [(1, 1, 1000)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_mertens_envelope_monotone():
     vals = [(1 << k) * _MERTENS[k] for k in range(len(_MERTENS) - 1)]
     for prev, nxt in zip(vals, vals[1:]):
@@ -156,6 +179,10 @@ def test_count_F_rejects_bad_modulus():
         count_F_in_progression(3, 2, 0, 10)  # 2 does not divide 3
     with pytest.raises(ValueError):
         count_F_in_progression(3, 0, 0, 10)
+    # the character modulus is checked before the X <= 1 early return
+    for X in (1, 100):
+        with pytest.raises(ValueError, match="unsupported character modulus 5"):
+            count_F_in_progression(5, 1, 0, X)
 
 
 def test_residue_check_rejects_bad_modulus_unsieved(monkeypatch):

@@ -117,7 +117,7 @@ def test_class_group_against_form_free_oracles():
     for d in fields:
         st_ = class_group(d)
         w = 6 if d == 3 else 2
-        chi_sum = int(np.dot(np.arange(d), character(d).residue_table()))
+        chi_sum = int(np.dot(np.arange(d), character(d).table))
         assert 2 * d * st_.order == -w * chi_sum, d
         two_rank = sum(1 for v in st_.elementary_divisors if v % 2 == 0)
         assert two_rank == factorize(d).num_distinct - 1, d

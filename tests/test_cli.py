@@ -95,6 +95,14 @@ def test_lemma_past_factorization_limit_exit_code(capsys):
         assert out == "" and err.startswith("error:") and "factorization limit" in err
 
 
+def test_lemma_count_unsupported_modulus_exit_code(capsys):
+    # refused for any threshold, including X <= 1, where the count is empty
+    for X in ("1", "100"):
+        rc, out, err = run(capsys, "lemma-count", "5", "1", "0", X)
+        assert rc == EXIT_DOMAIN
+        assert out == "" and "unsupported character modulus 5" in err
+
+
 def test_lemma_count_output(capsys):
     rc, out, _ = run(capsys, "lemma-count", "3", "3", "0", "10")
     assert rc == EXIT_OK

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,10 @@ from bianchisurf.ntkernel import (
     PRIMES,
     QuadraticCharacter,
     character,
-    chi,
     divisor_stats,
     factorize,
     is_prime,
     is_squarefree,
-    kronecker_at_two,
     legendre,
     prime_blocks,
 )
@@ -122,14 +122,6 @@ def test_legendre_squares(p, a):
         assert legendre(a * a, p) == 1
 
 
-def test_kronecker_at_two():
-    assert kronecker_at_two(7) == 1
-    assert kronecker_at_two(-1) == 1
-    assert kronecker_at_two(3) == -1
-    assert kronecker_at_two(-3) == -1
-    assert kronecker_at_two(6) == 0
-
-
 def test_character_domain():
     with pytest.raises(ValueError):
         QuadraticCharacter(5)
@@ -137,6 +129,9 @@ def test_character_domain():
         QuadraticCharacter(12)
     assert character(4).d == 4
     assert character(3).d == 3
+    # a table has fewer entries than the smallest-factor sieve
+    with pytest.raises(ValueError, match="table limit"):
+        character(1_000_003)(1)
 
 
 def test_character_small_period():
@@ -146,12 +141,31 @@ def test_character_small_period():
     assert [chi4(n) for n in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]
 
 
+def _chi_at_prime(d, p):
+    """chi_{-d}(p) from its definition on primes, never from a table."""
+    if d == 4:
+        return 0 if p == 2 else 1 if p % 4 == 1 else -1
+    if p == 2:
+        return 1 if -d % 8 in (1, 7) else -1
+    return legendre(-d, p)  # 0 for p | d
+
+
 def test_character_residue_table_matches_call():
-    for d in (3, 7, 11, 15, 19, 23, 4):
-        tab = character(d).residue_table()
-        assert len(tab) == d
+    # the table against the completely multiplicative extension of the
+    # values at primes, over three periods
+    for d in (3, 7, 11, 15, 19, 23, 4, 195, 227):
+        tab = character(d).table
+        assert tab.dtype == np.int64 and len(tab) == d
         for n in range(3 * d):
-            assert tab[n % d] == chi(d, n)
+            want = 0 if n == 0 else math.prod(_chi_at_prime(d, p) ** e for p, e in factorize(n).factors)
+            assert tab[n % d] == want == character(d)(n), (d, n)
+
+
+def test_character_table_read_only():
+    tab = character(3).table
+    with pytest.raises(ValueError):
+        tab[0] = 1
+    assert character(3).table is tab and list(tab) == [0, 1, -1]
 
 
 @given(st.sampled_from([3, 7, 15, 23]), st.integers(1, 10**4), st.integers(1, 10**4))
@@ -162,9 +176,10 @@ def test_character_multiplicative(d, a, b):
 
 
 def test_character_at_prime_agrees_with_legendre():
-    # for odd p not dividing d, the value is the Legendre symbol of -d
-    for d in (3, 7, 11, 15):
+    # every supported modulus below 400 at the first 300 primes: legendre(-d, p)
+    # at odd p (0 for p | d), the mod-8 rule at 2, and chi_{-4} by p mod 4
+    fields = [d for d in range(3, 400, 4) if is_squarefree(d)] + [4]
+    for d in fields:
         c = character(d)
-        for p in (5, 7, 11, 13, 17, 19):
-            if d % p:
-                assert c.at_prime(p) == legendre(-d, p)
+        for p in PRIMES[:300]:
+            assert c(p) == _chi_at_prime(d, p), (d, p)
