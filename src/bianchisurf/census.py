@@ -1,11 +1,12 @@
 """Surface enumeration, counting asymptotics, and Euler-product constants.
 
 One scan feeds xi, threshold ladders and record listings.  Residue m runs c
-downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d), and stops
-at the cap of a certified inert-prime envelope (_envelope_cap): the weight
-prod_{p|D}(1 + chi(p)/p) is at least prod (1 - 1/q) over the first k inert
-primes q, k the most whose product is at most D, and each side factor of a
-prime of g is at least its minimum.  One sieve loop (_windows) lays the
+downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d).  Every
+threshold decision is F(D) <= T, one integer bound T per class of D mod g
+(below), and F(D) is at least D L(D), L(D) the product of (1 - 1/q) over
+the first k inert primes q, k the most whose product is at most D; so the
+progression stops at the certified cap where D L(D) passes the largest T of
+its classes for good (_envelope_cap).  One sieve loop (_windows) lays the
 progressions end to end and cuts them into windows of at most _CHUNK
 entries.  Each window gets the integers F(D) = D prod_{p|D}(1 + chi(p)/p)
 from one progression sieve (weight_ratio_array), and its c below each
@@ -22,7 +23,7 @@ D mod g (volume's side_factors, the closed form's one definition), below X
 exactly when F(D) is at most the class's bound T, found once per scan by
 compare_to_threshold; a listing prices its survivors as that rational
 times F(D).  The counting lemma counts F <= ceil(X) - 1 on the same
-windows.  Both keep nothing between calls and meet the same two refusals.
+windows and stops by the same rule, where n L(n) passes X.  Both keep nothing between calls and meet the same two refusals.
 Everything runs in the calling process: xi, surface_counts and
 enumerate_surfaces ignore their `jobs` keyword.
 
@@ -41,14 +42,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd
 
 import numpy as np
 
 from .classgroup import is_admissible
 from .hermitian import d0_and_D, divisors_below_sqrt
-from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, legendre, prime_blocks
+from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, is_squarefree, legendre, prime_blocks
 from .volume import PI_DIGITS, ExactArea, compare_to_threshold, pi_bracket, side_factors
 from .volume import F_value  # public here too, as bianchisurf.census.F_value
 
@@ -56,6 +57,11 @@ DEFAULT_PRIME_LIMIT = 300_000_000
 
 
 def _require_admissible(d: int) -> None:
+    """Refuses an inadmissible d, and d = 4.  A d of the right shape past the
+    character table's limit is refused before is_admissible's class group,
+    whose cost grows with d."""
+    if d % 4 == 3 and is_squarefree(d):
+        character(d)
     res = is_admissible(d)
     if not res.admissible or res.reason == "d4-constant-only":
         raise ValueError(f"d = {d} is not admissible: {res.reason or 'constant-only'}")
@@ -64,8 +70,9 @@ def _require_admissible(d: int) -> None:
 # --- the arithmetic weight F and its counting lemma ----------------------
 
 
-def _envelope_cap(d: int, base: Fraction, threshold: Fraction, step: int) -> int:
-    """First D such that base * n * L(n) > threshold for every n >= D.
+def _envelope_cap(d: int, bound: Fraction | int, step: int) -> int:
+    """First n such that n * L(n) > bound for every later n: as F(n) >= n L(n),
+    no F from there on is at most bound.
 
     Take the inert primes q_1 < q_2 < ... of chi_d (p not | d, chi(p) = -1),
     their partial products Q_k and L_k = prod_{i <= k}(1 - 1/q_i); L(n) = L_k
@@ -76,29 +83,27 @@ def _envelope_cap(d: int, base: Fraction, threshold: Fraction, step: int) -> int
     their i-th smallest is at least q_i, so Q_j <= n and j <= k; and their
     product of (1 - 1/p) is at least L_j >= L_k.
 
-    On each piece the envelope base * n * L_k rises with n.  At the next jump
-    it falls to base * Q_{k+1} L_{k+1} = base * Q_k L_k (q_{k+1} - 1) >=
-    base * Q_k L_k, the bottom of the piece before: the bottoms never fall,
-    so once the next jump clears the threshold every later n does.  The cap
-    is then the first n of the current piece that clears, or the jump.
+    On each piece the envelope n * L_k rises with n.  At the next jump it
+    falls to Q_{k+1} L_{k+1} = Q_k L_k (q_{k+1} - 1) >= Q_k L_k, the bottom of
+    the piece before: the bottoms never fall, so once the next jump clears
+    the bound every later n does.  The cap is then the first n of the
+    current piece that clears, or the jump.
 
-    Refused before the walk, whose products grow with the threshold, when
-    threshold >= base (10^12 + step): as L <= 1 the cap then passes
-    threshold / base, so a progression of this step starting below the cap
-    has an entry at or past the factorization limit 10^12 below it."""
-    if threshold >= base * (_FACTOR_LIMIT + step):
+    Refused before the walk, whose products grow with the bound, when
+    bound >= 10^12 + step: as L <= 1 the cap then passes bound, so a
+    progression of this step starting below the cap has an entry at or past
+    the factorization limit 10^12 below it."""
+    if bound >= _FACTOR_LIMIT + step:
         raise ValueError(f"would sieve past the factorization limit {_FACTOR_LIMIT}")
-    if base > threshold:
-        return 1
     chi = character(d)
     Q, L = 1, Fraction(1)
     for q in PRIMES:
         if chi(q) != -1:
             continue
-        if base * Q * (q - 1) * L > threshold:
-            return min(Q * q, int(threshold / (base * L)) + 1)
+        if Q * (q - 1) * L > bound:
+            return min(Q * q, int(bound / L) + 1)
         Q, L = Q * q, L * (1 - Fraction(1, q))
-    raise ValueError(f"threshold {threshold} out of supported range")
+    raise ValueError(f"bound {bound} out of supported range")
 
 
 _STRIDED = 16  # a segment at least this many times p long is sieved by slices
@@ -234,8 +239,8 @@ def _check_modulus(d: int, a: int) -> None:
 def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     """Exact #{n = r (mod a), n >= 1 : F(n) < X}.
 
-    Requires every prime of a to divide d.  Enumeration stops at the
-    inert-prime envelope with base 1, as F(n) >= n L(n), and runs window by
+    Requires every prime of a to divide d.  Enumeration stops where the
+    inert-prime envelope n L(n) passes X, as F(n) >= n L(n), and runs window by
     window through the census sieve, which gives F(n) as an integer: F(n) < X
     exactly when F(n) <= ceil(X) - 1.
     """
@@ -244,7 +249,7 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
     if X <= 1:
         return 0
     start = r % a or a
-    ncap = _envelope_cap(d, Fraction(1), X, a)
+    ncap = _envelope_cap(d, X, a)
     windows = _windows(d, [(start, a, max(0, -(-(ncap - start) // a)))], 1)
     return sum(int(np.count_nonzero(F <= math.ceil(X) - 1)) for _, F in windows)
 
@@ -265,64 +270,59 @@ class SurfaceRecord:
         return ExactArea(self.q)
 
 
-def _residue_cap(d: int, g: int, threshold: Fraction) -> int:
-    """Cap on D for the residues m with gcd(m, d) = g.  Their area is
-    g^2/(3d) * D * prod_{p|D, p not | d}(1 + chi(p)/p) * prod_{p|g} side factor
-    * pi, so the envelope base is g^2/(3d) times the smallest side factor of
-    each p | g times the lower end of the pi bracket."""
-    pi_lo, _, scale = pi_bracket(PI_DIGITS)
-    base = Fraction(g * g * pi_lo, 3 * d * scale)
-    for p, _ in factorize(g).factors:
-        base *= min(side_factors(p))
-    return _envelope_cap(d, base, threshold, (d // g) ** 2)
-
-
-def _bounds(d: int, g: int, xs: list[Fraction]) -> tuple[np.ndarray, list[Fraction]]:
-    """(T, qs): qs[r] = q(r), g^2/(3d) times the side factors of the p | g at
-    D = r (mod g), fixed by the symbols (r/p); T[i, r] = the largest F with
-    q(r) F pi < xs[i], or 0 if none.  Each distinct q starts from
-    floor(x / (q pi_lo)), never too low as pi_lo < pi, and steps down while
+def _bounds(d: int, g: int, xs: list[Fraction]) -> dict[tuple[int, ...], tuple[Fraction, list[int]]]:
+    """{symbols: (q, T)} for every tuple of symbols s_p = (D/p) in {0, 1, -1}
+    at the primes p | g: q is g^2/(3d) times the side factors at those
+    symbols, and T[i] the largest F with q F pi < xs[i], or 0 if none.  Each
+    starts from floor(x / (q pi_lo)), never too low as pi_lo < pi, clamped at
+    10^12 + (d/g)^2, a bound _envelope_cap refuses, and steps down while
     compare_to_threshold puts q t pi above x."""
     primes = [p for p, _ in factorize(g).factors]
     pi_lo, _, scale = pi_bracket(PI_DIGITS)
-    symbols = [tuple(legendre(r, p) for p in primes) for r in range(g)]
-    qs, bound = {}, {}
-    for key in dict.fromkeys(symbols):
-        qs[key] = q = Fraction(g * g, 3 * d) * math.prod(side_factors(p)[s] for p, s in zip(primes, key))
-        bound[key] = column = []
+    bounds = {}
+    for key in product((0, 1, -1), repeat=len(primes)):
+        q = Fraction(g * g, 3 * d) * math.prod(side_factors(p)[s] for p, s in zip(primes, key))
+        column = []
         for x in xs:
-            t = x * scale // (q * pi_lo)
+            t = min(x * scale // (q * pi_lo), _FACTOR_LIMIT + (d // g) ** 2)
             while t > 0 and compare_to_threshold(ExactArea(q * t), x) > 0:
                 t -= 1
             column.append(t)
-    return np.array([bound[key] for key in symbols], dtype=np.int64).T, [qs[key] for key in symbols]
+        bounds[key] = q, column
+    return bounds
 
 
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     """Every residue m in ascending order, c descending from c_start, the
-    largest c with m^2 > c d: D = D0 + (d/g)^2 j at c = c_start - j, below
-    the envelope cap at bound_factor times the largest threshold.  Returns
+    largest c with m^2 > c d: D = D0 + (d/g)^2 j at c = c_start - j.  Returns
     (qs, windows): windows yields, per window, the candidates' arrays
     (m, c, D, F, col) and one mask per threshold xs[i], set where the area
     qs[col] * F * pi is exactly below xs[i].
 
-    Each window of candidates is sieved once (_windows), and each candidate
-    is below xs[i] exactly when F(D) <= T[i, col], col the class of D mod g
-    (_bounds).  Both refusals come before any bound is computed."""
-    top = max(xs) * bound_factor
+    A candidate is below xs[i] exactly when F(D) <= T[i], the bound of its
+    class of D mod g (_bounds).  So each progression of a g stops at the
+    envelope cap (_envelope_cap) at bound_factor times the largest T of its
+    classes: past it F(D) >= D L(D) passes every T.  Each window of
+    candidates is sieved once (_windows).  The caps' and the windows'
+    refusals come before any work that grows with g: one bound column per
+    class r of D mod g."""
     gs = [gcd(m, d) for m in range(d)]
-    caps = {g: _residue_cap(d, g, top) for g in set(gs)}
+    bounds = {g: _bounds(d, g, xs) for g in dict.fromkeys(gs)}
+    caps = {g: _envelope_cap(d, bound_factor * max(max(T) for _, T in b.values()), (d // g) ** 2)
+            for g, b in bounds.items()}
     c_starts = [(m * m - 1) // d for m in range(d)]
     progs = []
     for m, c in enumerate(c_starts):
         d0, D0 = d0_and_D(d, m, c)
         progs.append((D0, d0 * d0, max(0, -(-(caps[gs[m]] - D0) // (d0 * d0)))))
     windows = _windows(d, progs, len(xs))
-    # every g's table side by side: column offset[g] + r holds its class r
-    tables = [_bounds(d, g, xs) for g in caps]
-    T = np.concatenate([t for t, _ in tables], axis=1)
-    qs = [q for _, column in tables for q in column]
-    offset = dict(zip(caps, accumulate(caps, initial=0)))
+    classes = []  # every g's classes side by side: column offset[g] + r holds class r of D mod g
+    for g, b in bounds.items():
+        primes = [p for p, _ in factorize(g).factors]
+        classes += (b[tuple(legendre(r, p) for p in primes)] for r in range(g))
+    qs = [q for q, _ in classes]
+    T = np.array([column for _, column in classes], dtype=np.int64).T
+    offset = dict(zip(bounds, accumulate(bounds, initial=0)))
 
     def scanned():
         for pieces, W in windows:
@@ -526,9 +526,8 @@ def leading_constants_bundle(ds: tuple[int, ...], prime_limit: int | None = None
     if prime_limit is None:
         prime_limit = DEFAULT_PRIME_LIMIT
     for d in ds:
-        res = is_admissible(d)
-        if not res.admissible:
-            raise ValueError(f"d = {d} is not admissible: {res.reason}")
+        if d != 4:
+            _require_admissible(d)
     reports = {}
     for d, (s_main, s_c, nprimes) in _euler_log_sums(ds, prime_limit).items():
         tail2 = _prime_square_tail(nprimes)

@@ -22,13 +22,25 @@ from .census import (
 )
 from .classgroup import is_admissible
 from .hermitian import SurfaceIndex
-from .verify import order_report, run_scope
+from .verify import SCOPES, order_report, run_scope
 from .volume import area_closed_form
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
+
+
+class _UsageError(Exception):
+    """A malformed command line; main prints it and returns EXIT_USAGE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would exit 2, the domain-error code."""
+
+    def error(self, message):
+        message = message.replace("argument command: invalid choice", "unknown subcommand")
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def _parse_threshold(text: str) -> Fraction:
@@ -142,16 +154,16 @@ def _cmd_lemma_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.scope and args.scope[0] == "order":
-        if len(args.scope) != 4:
-            print("usage: verify order <d> <m> <c>", file=sys.stderr)
-            return EXIT_USAGE
+        if len(args.scope) != 4 or not all(v.removeprefix("-").isdigit() for v in args.scope[1:]):
+            args.parser.error("order takes integers <d> <m> <c>")
         d, m, c = (int(v) for v in args.scope[1:])
         print(json.dumps(order_report(d, m, c), indent=2))
         return EXIT_OK
     if len(args.scope) > 1:
-        print("verify takes a single scope", file=sys.stderr)
-        return EXIT_USAGE
+        args.parser.error("takes a single scope")
     scope = args.scope[0] if args.scope else "all"
+    if scope not in ("all", *SCOPES):
+        args.parser.error(f"unknown scope {scope!r}; expected all or one of {SCOPES}")
     reports = run_scope(scope, fast=args.fast)
     ok = True
     for rep in reports:
@@ -161,7 +173,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bianchisurf",
         description="Census of totally geodesic surfaces in Bianchi orbifolds",
     )
@@ -210,20 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="all | orders | areas | constants | counts | classgroups | order <d> <m> <c>",
     )
     p.add_argument("--fast", action="store_true", help="smoke run: orders and areas sweep D <= 60, the other suites run in full")
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if argv and not argv[0].startswith("-") and argv[0] not in commands:
-        print(f"unknown subcommand: {argv[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

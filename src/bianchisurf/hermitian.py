@@ -192,37 +192,23 @@ def canonical_circle(d: int, m: int, c: int) -> HermitianCircle:
 
 def sigma_r(d: int, r: int) -> CosetMatrix:
     """The matrix [[w, r],[v r, -u w]] with w = sqrt(-d), s u - r v = 1,
-    v even of minimal absolute value (ties toward positive v).
+    v even of minimal absolute value.
 
-    Determinant is r: u d - r^2 v = r (s u - r v) with s = d/r.
+    Determinant is r: u d - r^2 v = r (s u - r v) with s = d/r.  The v with
+    s u - r v = 1 are the class of -r^-1 (mod s).  Take its least
+    nonnegative member, minus s if odd: s is odd, so that is even, lies
+    strictly between -s and s, and every other even member is at least
+    2s - |v| > |v| away from 0.
     """
     if not is_squarefree(d) or d % 4 != 3:
         raise ValueError(f"d must be square-free and 3 mod 4, got {d}")
     if r <= 0 or d % r or r * r >= d:
         raise ValueError(f"r must divide {d} and satisfy r < sqrt(d), got {r}")
     s = d // r
-    # particular solution of s u - r v = 1
-    if r == 1:
-        u0, v0 = 0, -1
-    else:
-        u0 = pow(s, -1, r)
-        v0 = (s * u0 - 1) // r
-    # full family: u = u0 + k r, v = v0 + k s; s is odd, so parity of v
-    # flips with k and the even-v solutions are v0 + k0*s + 2*s*Z
-    k0 = v0 % 2
-    w = v0 + k0 * s
-    step = 2 * s
-    k_shift = -w // step
-    best = None
-    for t in (k_shift - 1, k_shift, k_shift + 1):
-        v = w + step * t
-        cand = (abs(v), -v)
-        if best is None or cand < best[0]:
-            best = (cand, v, k0 + 2 * t)
-    _, v, k = best
-    u = u0 + k * r
-    assert s * u - r * v == 1 and v % 2 == 0
-    return CosetMatrix(d, r, s, u, v)
+    v = -pow(r, -1, s) % s
+    if v % 2:
+        v -= s
+    return CosetMatrix(d, r, s, (1 + r * v) // s, v)
 
 
 def pullback_circle(idx: SurfaceIndex) -> HermitianCircle:

@@ -140,8 +140,9 @@ class QuadraticCharacter:
     mod 4, or chi_{-4} when d = 4: the Jacobi symbol (n/d) = prod_{p|d} (n/p),
     as reciprocity gives (-d/q) = (q/d) at odd primes q not dividing d, the
     mod-8 rule gives (-d/2) = (2/d), and both vanish on p | d.  So chi is one
-    int64 table of period d below _SIEVE_LIMIT, built once from the squares
-    mod each p | d and not writeable: chi(n) = table[n % d].
+    int64 table of period d, built once from the squares mod each p | d and
+    not writeable: chi(n) = table[n % d].  A d of _SIEVE_LIMIT or more is
+    refused at construction, so no table outgrows _SPF.
     """
 
     d: int
@@ -151,11 +152,11 @@ class QuadraticCharacter:
             return
         if self.d % 4 != 3 or not is_squarefree(self.d):
             raise ValueError(f"unsupported character modulus {self.d}")
+        if self.d >= _SIEVE_LIMIT:  # no table larger than _SPF
+            raise ValueError(f"character modulus {self.d} is past the table limit {_SIEVE_LIMIT}")
 
     @cached_property
     def table(self) -> np.ndarray:
-        if self.d >= _SIEVE_LIMIT:  # no table larger than _SPF
-            raise ValueError(f"character modulus {self.d} is past the table limit {_SIEVE_LIMIT}")
         if self.d == 4:
             out = np.array([0, 1, 0, -1], dtype=np.int64)
         else:

@@ -371,7 +371,7 @@ def order_report(d: int, m: int, c: int) -> dict:
     }
 
 
-_SCOPES = ("orders", "areas", "constants", "counts", "classgroups")
+SCOPES = ("orders", "areas", "constants", "counts", "classgroups")
 
 
 def run_scope(scope: str, fast: bool = False) -> list[SuiteReport]:
@@ -399,4 +399,4 @@ def run_scope(scope: str, fast: bool = False) -> list[SuiteReport]:
         return [suite_counts()]
     if scope == "classgroups":
         return [suite_classgroups()]
-    raise ValueError(f"unknown scope {scope!r}; expected all or one of {_SCOPES}")
+    raise ValueError(f"unknown scope {scope!r}; expected all or one of {SCOPES}")

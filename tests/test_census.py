@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from bianchisurf import census
 from bianchisurf.census import (
+    _bounds,
     _envelope_cap,
-    _residue_cap,
     F_value,
     constant_C,
     count_F_in_progression,
@@ -287,17 +287,29 @@ def test_budget_is_exact_and_counts_thresholds(monkeypatch):
     monkeypatch.setattr(census, "_MAX_PRICED", 305467)
     with pytest.raises(ValueError, match="305468 candidates at 1 threshold"):
         count_F_in_progression(3, 1, 0, 10**5)
-    # the ladder prices 212 candidates at 2 thresholds, xi the same 212 at 1
+    # the ladder prices 211 candidates at 2 thresholds, xi the same 211 at 1
     xs = [Fraction(5), Fraction("99.5")]
-    monkeypatch.setattr(census, "_MAX_PRICED", 424)
+    monkeypatch.setattr(census, "_MAX_PRICED", 422)
     with pytest.raises(_Sieved):
         surface_counts(15, xs)
-    monkeypatch.setattr(census, "_MAX_PRICED", 423)
-    with pytest.raises(ValueError, match="212 candidates at 2 threshold"):
+    monkeypatch.setattr(census, "_MAX_PRICED", 421)
+    with pytest.raises(ValueError, match="211 candidates at 2 threshold"):
         surface_counts(15, xs)
-    monkeypatch.setattr(census, "_MAX_PRICED", 212)
+    monkeypatch.setattr(census, "_MAX_PRICED", 211)
     with pytest.raises(_Sieved):
         xi(15, xs[1])
+
+
+def test_large_field_refused_before_class_group(monkeypatch):
+    # a d past the character table's limit is refused before is_admissible,
+    # whose class group grows with d
+    def no_class_group(d):
+        raise AssertionError("class group computed before refusing")
+
+    monkeypatch.setattr(census, "is_admissible", no_class_group)
+    for request in (lambda: xi(1000003, 1), lambda: leading_constants_bundle((1000003,), 100)):
+        with pytest.raises(ValueError, match="table limit"):
+            request()
 
 
 def test_lemma_past_budget_refused(monkeypatch):
@@ -483,10 +495,18 @@ def _census_base(d: int, g: int) -> Fraction:
     return Fraction(g * g, 3 * d) * prod(side)
 
 
+def _max_bound(d: int, g: int, X: Fraction) -> int:
+    # the largest class bound T of g: the largest t with R t pi < X at the
+    # smallest class rational R, pi from mpmath
+    R = _census_base(d, g)
+    with mpmath.workdps(50):
+        return int(mpmath.floor(mpmath.mpf(X.numerator) / X.denominator / (mpmath.mpf(R.numerator) / R.denominator * mpmath.pi)))
+
+
 @pytest.mark.parametrize("d", [3, 7, 15])
 def test_envelope_cap_is_sound_independently(d):
-    # the census cap per g = gcd(m, d) against base * pi * n * L(n) with pi
-    # from mpmath, and the counting lemma's cap against n * L(n)
+    # the census cap per g = gcd(m, d) against n L(n) > max T, with T from
+    # mpmath's pi, and the counting lemma's cap against n L(n) > X
     envelope, jumps = _own_envelope(d)
 
     def check(cap: int, clears) -> None:
@@ -496,16 +516,10 @@ def test_envelope_cap_is_sound_independently(d):
 
     for X in (Fraction(5), Fraction(30), Fraction("99.5"), Fraction(10**5), Fraction(10**9)):
         for g in (n for n in range(1, d + 1) if d % n == 0):
-            base = _census_base(d, g)
-
-            def clears(n: int) -> bool:
-                r = base * envelope(n)
-                with mpmath.workdps(50):
-                    area = mpmath.mpf(r.numerator) / r.denominator * mpmath.pi
-                    return area > mpmath.mpf(X.numerator) / X.denominator
-
-            check(_residue_cap(d, g, X), clears)
-        check(_envelope_cap(d, Fraction(1), X, 1), lambda n: envelope(n) > X)
+            T = _max_bound(d, g, X)
+            assert max(max(column) for _, column in _bounds(d, g, [X]).values()) == T
+            check(_envelope_cap(d, T, (d // g) ** 2), lambda n: envelope(n) > T)
+        check(_envelope_cap(d, X, 1), lambda n: envelope(n) > X)
 
 
 def test_envelope_cap_excludes_heavy_surfaces():
@@ -516,7 +530,8 @@ def test_envelope_cap_excludes_heavy_surfaces():
             assert area_closed_form(SurfaceIndex(d, m, c, 1)).q >= _census_base(d, d // d0) * envelope(D)
         for X in (Fraction(5), Fraction(30)):
             for t in enumerate_surfaces(d, X, bound_factor=4):
-                assert t.D < _residue_cap(d, d // t.d0, X)
+                g = d // t.d0
+                assert t.D < _envelope_cap(d, _max_bound(d, g, X), t.d0**2)
 
 
 @pytest.mark.parametrize("d, X", [(3, 10**5), (15, 10**4), (11, 10**5)])

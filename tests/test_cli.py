@@ -169,6 +169,20 @@ def test_exit_codes(capsys):
     assert rc == EXIT_USAGE
     rc, _, err = run(capsys, "verify", "counts", "classgroups")
     assert rc == EXIT_USAGE
+    # every malformed command line is a usage error, never the domain error 2
+    for argv in (
+        ("census", "3"),  # missing X
+        ("area", "3", "x", "1"),  # m not an integer
+        ("census", "3", "2.2", "--format", "xml"),  # no such format
+        ("lemma-count", "3", "1", "0"),  # missing X
+        ("census", "3", "2.2", "extra"),  # an argument too many
+        ("verify", "bogus"),  # no such scope
+        ("verify", "order", "3", "x", "1"),  # m not an integer
+        (),  # no subcommand
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == EXIT_USAGE, argv
+        assert out == "" and err.startswith("usage: bianchisurf") and "error:" in err
 
 
 def test_area_refuses_d4(capsys):

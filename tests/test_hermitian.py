@@ -87,6 +87,19 @@ def test_sigma_r_bezout_and_determinant():
             assert sig.matrix().det() == QuadExt.of(d, r)
 
 
+def test_sigma_r_minimal_even_v():
+    # against a search over every even v with |v| <= 2s: the least |v|, ties
+    # toward positive v, solving s u - r v = 1
+    for d in range(3, 2000, 4):
+        if not is_squarefree(d):
+            continue
+        for r in divisors_below_sqrt(d):
+            s = d // r
+            v = min((v for v in range(-2 * s, 2 * s + 1, 2) if (1 + r * v) % s == 0), key=lambda v: (abs(v), -v))
+            sig = sigma_r(d, r)
+            assert (sig.s, sig.u, sig.v) == (s, (1 + r * v) // s, v)
+
+
 def test_sigma_r_rejects_bad_input():
     with pytest.raises(ValueError):
         sigma_r(12, 1)  # not square-free... 12 = 4*3
