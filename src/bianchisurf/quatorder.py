@@ -9,6 +9,8 @@ The two routes deliberately share nothing beyond the order itself.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -145,17 +147,29 @@ class QuaternionOrder:
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """The integer trace form trd(e_i conj(e_j)), computed once from
-        the rows: 2(tt' - a xx' - b yy' + ab zz') divided by N^2."""
-        N, rows = self.N, self.rows
+        the rows: 2(tt' - a xx' - b yy' + ab zz') divided by N^2.  The rows
+        are lower-triangular, so the pairing of rows i <= j runs over the
+        first i + 1 coordinates; each of the ten pairings i <= j is taken
+        once and mirrored."""
         al, be = self.algebra.a_alg, self.algebra.b_alg
-        weights = (2, -2 * al, -2 * be, 2 * al * be)
-        return tuple(
-            tuple(
-                _exact_div(sum(w * s * t for w, s, t in zip(weights, u, v)), N * N, "trace pairing")
-                for v in rows
+        (t0, _, _, _), (t1, x1, _, _), (t2, x2, y2, _), (t3, x3, y3, z3) = self.rows
+        NN = self.N * self.N
+        g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = (
+            _exact_div(2 * v, NN, "trace pairing")
+            for v in (
+                t0 * t0,
+                t0 * t1,
+                t0 * t2,
+                t0 * t3,
+                t1 * t1 - al * x1 * x1,
+                t1 * t2 - al * x1 * x2,
+                t1 * t3 - al * x1 * x3,
+                t2 * t2 - al * x2 * x2 - be * y2 * y2,
+                t2 * t3 - al * x2 * x3 - be * y2 * y3,
+                t3 * t3 - al * x3 * x3 - be * y3 * y3 + al * be * z3 * z3,
             )
-            for u in rows
         )
+        return (g00, g01, g02, g03), (g01, g11, g12, g13), (g02, g12, g22, g23), (g03, g13, g23, g33)
 
     @cached_property
     def reduced_discriminant(self) -> int:
@@ -225,21 +239,19 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def _minor(m, row: int, col: int) -> list[list[int]]:
-    return [[v for j, v in enumerate(r) if j != col] for i, r in enumerate(m) if i != row]
-
-
-def _det3(a) -> int:
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-
-
 def _det4(m) -> int:
-    # cofactor expansion along the first row; 4x4 integer input is tiny
-    return sum((-1) ** j * m[0][j] * _det3(_minor(m, 0, j)) for j in range(4))
+    """Determinant of a 4x4 integer matrix by Laplace expansion along its
+    first two rows: each 2x2 minor of rows 0-1 times the complementary
+    minor of rows 2-3, with the sign of the column split."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+    return (
+        (a00 * a11 - a01 * a10) * (a22 * a33 - a23 * a32)
+        - (a00 * a12 - a02 * a10) * (a21 * a33 - a23 * a31)
+        + (a00 * a13 - a03 * a10) * (a21 * a32 - a22 * a31)
+        + (a01 * a12 - a02 * a11) * (a20 * a33 - a23 * a30)
+        - (a01 * a13 - a03 * a11) * (a20 * a32 - a22 * a30)
+        + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30)
+    )
 
 
 def reduced_discriminant(order: QuaternionOrder) -> int:
@@ -253,13 +265,20 @@ def _lattice_coordinates(rows, w, scale: int) -> tuple[int, ...] | None:
     on the lower-triangular rows from the last coordinate down; None as soon
     as one is not an integer, i.e. when w / scale is not in the lattice the
     rows span."""
-    c = [0, 0, 0, 0]
-    for m in (3, 2, 1, 0):
-        rest = w[m] - scale * sum(c[k] * rows[k][m] for k in range(m + 1, 4))
-        c[m], r = divmod(rest, scale * rows[m][m])
-        if r:
-            return None
-    return tuple(c)
+    (t0, _, _, _), (t1, x1, _, _), (t2, x2, y2, _), (t3, x3, y3, z3) = rows
+    c3, r = divmod(w[3], scale * z3)
+    if r:
+        return None
+    c2, r = divmod(w[2] - scale * c3 * y3, scale * y2)
+    if r:
+        return None
+    c1, r = divmod(w[1] - scale * (c2 * x2 + c3 * x3), scale * x1)
+    if r:
+        return None
+    c0, r = divmod(w[0] - scale * (c1 * t1 + c2 * t2 + c3 * t3), scale * t0)
+    if r:
+        return None
+    return c0, c1, c2, c3
 
 
 def closure_defect(order: QuaternionOrder) -> list[tuple[int, int]]:
@@ -348,50 +367,113 @@ def _form_values(f: list[list[int]], ks, mod: int = 0):
     return val % mod if mod else val
 
 
+# The brute-force route refuses p at or past this limit, before any array
+# is built, to keep one call within a memory budget of 96 MiB: a call holds
+# at most about eleven float64 arrays of p^2 + p + 1 entries at once, 92 MB
+# at p = 1021 (about 75 MB more peak RSS, measured).  Below the limit every
+# value `_line_residues` takes in float64 is an integer of absolute value
+# below 36 p^4 < 2^46, so exact.
+_MAX_BRUTE_PRIME = 2**10
+
+# `_line_heads` keeps its tables, oldest use evicted first, up to this many
+# bytes in all.
+_HEAD_CACHE_BYTES = 2**22
+_head_cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
+_head_lock = threading.Lock()
+
+
+def _line_heads(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For an odd prime p: the heads (1,a,b), (0,1,b) and (0,0,1) over F_p
+    of the lines of F_p^4 other than (0,0,0,1), as the p^2 + p + 1 columns
+    of one float64 array of 3 rows; the distinct squares mod p (0 included);
+    and the mask of those squares over F_p.  All three are read-only.
+
+    Cached per p, least recently used evicted first, up to
+    `_HEAD_CACHE_BYTES` = 4 MiB in all; an entry takes 24 (p^2 + p + 1)
+    bytes and a little more, so the tables of every odd p <= 79 fit at once,
+    and a table larger than the whole budget is built for its call only."""
+    with _head_lock:
+        entry = _head_cache.get(p)
+        if entry is not None:
+            _head_cache.move_to_end(p)
+            return entry
+    ar = np.arange(p, dtype=np.float64)
+    heads = np.zeros((3, p * p + p + 1))
+    heads[0, : p * p] = 1
+    heads[1, : p * p] = np.repeat(ar, p)
+    heads[2, : p * p] = np.tile(ar, p)
+    heads[1, p * p : -1] = 1
+    heads[2, p * p : -1] = ar
+    heads[2, -1] = 1
+    squares = np.unique(np.arange(p, dtype=np.int64) ** 2 % p)
+    is_square = np.zeros(p, dtype=bool)
+    is_square[squares] = True
+    entry = (heads, squares, is_square)
+    for a in entry:
+        a.flags.writeable = False
+    size = sum(a.nbytes for a in entry)
+    if size <= _HEAD_CACHE_BYTES:
+        with _head_lock:
+            _head_cache[p] = entry
+            while sum(a.nbytes for e in _head_cache.values() for a in e) > _HEAD_CACHE_BYTES:
+                _head_cache.popitem(last=False)
+    return entry
+
+
 def _line_residues(f: _Form, p: int) -> np.ndarray:
     """Boolean table over F_p of the values of f mod p (p odd) at one
     representative of every line of F_p^4: (1,a,b,c), (0,1,b,c), (0,0,1,c),
     (0,0,0,1).
 
-    In the first three families a head h = (1,a,b), (0,1,b) or (0,0,1) is
-    followed by a free last coordinate c, and f(h, c) = P(h) + c L(h) +
-    f33 c^2 with P, L and f33 reduced mod p.  Over c in F_p this takes:
+    A head h = (1,a,b), (0,1,b) or (0,0,1) of `_line_heads` is followed by
+    a free last coordinate c, and f(h, c) = P(h) + c L(h) + f33 c^2 with P,
+    L and f33 reduced mod p.  P and L are taken at every head at once, by one
+    product of f's coefficients mod p with the head table (exact in float64,
+    see `_MAX_BRUTE_PRIME`), and reduced mod p once.  Over c in F_p the
+    lines through h take:
       - K(h) + f33 Sq when f33 != 0, where K = P - L^2 (4 f33)^-1 and Sq is
         the set of squares mod p, 0 included: f33 c^2 + L c equals
         f33 (c + L/(2 f33))^2 - L^2/(4 f33), and c -> c + L/(2 f33)
         permutes F_p;
       - every residue when f33 = 0 and L(h) != 0;
       - P(h) alone when f33 = L(h) = 0.
-    So a family's values are the sumset of the at most p distinct values of
-    K with f33 Sq, (p + 1)/2 entries, or all of F_p, or the values of P:
-    O(p^2) work per family in place of the O(p^3) of running every c."""
-    ar = np.arange(p, dtype=np.int64)
-    a, b = np.meshgrid(ar, ar, indexing="ij", sparse=True)
+    So the values are the sumset of the at most p distinct values of K with
+    f33 Sq, (p + 1)/2 entries, or all of F_p, or the values of P: O(p^2)
+    work in place of the O(p^3) of running every c."""
+    heads, squares, _ = _line_heads(p)
+    coeffs = np.array(
+        [[f[i][j] % p if j >= i else 0 for j in range(3)] for i in range(3)] + [[f[i][3] % p for i in range(3)]],
+        dtype=np.float64,
+    )
+    products = coeffs @ heads
+    P, L = np.einsum("in,in->n", products[:3], heads), products[3]
     f33 = f[3][3] % p
     hit = np.zeros(p, dtype=bool)
     hit[f33] = True  # (0, 0, 0, 1)
     if f33:
-        inv = pow(4 * f33, -1, p)
-        shifts = f33 * np.unique(ar * ar % p)
-    for head in ((1, a, b), (0, 1, ar), (0, 0, 1)):
-        P = _form_values(f, head + (0,), p)
-        L = sum((f[i][3] % p) * k for i, k in enumerate(head)) % p
-        if f33:
-            K = np.zeros(p, dtype=bool)
-            K[(P - L * L % p * inv) % p] = True
-            hit[(np.flatnonzero(K)[:, None] + shifts) % p] = True
-        elif np.any(L):
-            return np.ones(p, dtype=bool)
-        else:
-            hit[P] = True
+        # one reduction mod p: 4 f33 K = 4 f33 P - L^2
+        seen = np.zeros(p, dtype=bool)
+        seen[(4 * f33 * P - L * L).astype(np.int64) % p] = True
+        K = np.flatnonzero(seen) * pow(4 * f33, -1, p)
+        hit[(K[:, None] + f33 * squares) % p] = True
+    elif (L.astype(np.int64) % p).any():
+        hit[:] = True
+    else:
+        hit[P.astype(np.int64) % p] = True
     return hit
 
 
-def _qr_table(p: int) -> np.ndarray:
-    tab = np.full(p, -1, dtype=np.int64)
-    tab[0] = 0
-    tab[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
-    return tab
+def _symbol_set(hit: np.ndarray, is_square: np.ndarray) -> frozenset:
+    """The Legendre symbols of the residues marked in hit: 0 (the zero
+    element is always there), 1 if a nonzero square is marked, -1 if a
+    non-square is."""
+    units, squares = hit[1:], is_square[1:]
+    seen = {0}
+    if (units & squares).any():
+        seen.add(1)
+    if (units & ~squares).any():
+        seen.add(-1)
+    return frozenset(seen)
 
 
 @lru_cache(maxsize=4096)
@@ -418,19 +500,17 @@ def _local_value_sets(forms: tuple[_Form, _Form], p: int) -> tuple[frozenset, fr
         if np.any((odd == 3) | (odd == 5)):
             d_seen.add(-1)
         return frozenset(d_seen), frozenset()
-    tab = _qr_table(p)
-    d_seen, n_seen = (
-        frozenset(tab[np.flatnonzero(_line_residues(f, p))].tolist()) | {0}
-        for f in (delta_form, norm_form)
-    )
-    return d_seen, n_seen
+    is_square = _line_heads(p)[2]
+    return _symbol_set(_line_residues(delta_form, p), is_square), _symbol_set(_line_residues(norm_form, p), is_square)
 
 
 def _check_order_prime(order: QuaternionOrder, p: int) -> None:
-    """The brute-force route's guard, read from the order alone: p is prime
-    and divides its reduced discriminant."""
+    """The brute-force route's guard, read from the order alone: p is prime,
+    below `_MAX_BRUTE_PRIME` = 1024, and divides its reduced discriminant."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if p >= _MAX_BRUTE_PRIME:
+        raise ValueError(f"p = {p} is at or past the brute-force prime limit {_MAX_BRUTE_PRIME}")
     drd = reduced_discriminant(order)
     if drd % p:
         raise ValueError(f"p = {p} does not divide the reduced discriminant {drd}")

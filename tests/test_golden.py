@@ -37,8 +37,14 @@ COMMANDS = [
     "census 1007 60 --format csv",
     "census 3 30 --records",
     "area 195 7 -2",
+    "area 3 0 -2",
     "verify order 195 7 -2",
+    "verify order 3 1 -26",
     "census 1000000007 1",
+    # reduced discriminants 33337 = 17 37 53, and the prime 33331 past the
+    # brute-force route's prime limit
+    "verify order 3 1 -11112",
+    "verify order 3 1 -11110",
 ]
 
 

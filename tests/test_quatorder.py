@@ -208,6 +208,35 @@ def reference_defect(order):
     ]
 
 
+@st.composite
+def lower_triangular_rows(draw):
+    """Four integer rows, lower-triangular with a nonzero diagonal: an
+    order's rows, or random ones."""
+    if draw(st.booleans()):
+        return build_order(pullback_circle(draw(st.sampled_from(SMALL_CIRCLES)))).rows
+    entry = st.integers(-6, 6)
+    return tuple(
+        tuple(draw(entry.filter(bool)) if k == i else draw(entry) if k < i else 0 for k in range(4)) for i in range(4)
+    )
+
+
+@given(
+    lower_triangular_rows(),
+    st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+    st.integers(0, 3),
+    st.integers(-3, 3),
+    st.sampled_from([1, 2, 6]),
+)
+def test_lattice_coordinates_match_fraction_solve(rows, coeffs, m, shift, scale):
+    """A lattice vector scale * sum c_k rows[k], with coordinate m moved by
+    shift, solved by back-substitution and by Gaussian elimination over Q."""
+    w = [scale * sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(4)]
+    w[m] += shift
+    x = fraction_solve([[scale * v for v in row] for row in rows], w)
+    expected = tuple(int(v) for v in x) if all(v.denominator == 1 for v in x) else None
+    assert _lattice_coordinates(rows, w, scale) == expected
+
+
 @pytest.mark.parametrize("d, m, c", [(3, 1, -1), (7, 3, 1), (15, 2, -1), (23, 5, -3)])
 def test_closure_defect_matches_fraction_reference(d, m, c):
     order = build_order(pullback_circle(SurfaceIndex(d, m, c, 1)))
@@ -252,29 +281,34 @@ def test_value_sets_match_full_grid():
 
 @lru_cache(maxsize=None)
 def line_representatives(p):
-    """Every representative (0,..,0,1,*,..,*) of a line of F_p^4, as rows."""
-    return np.array(
-        [(0,) * lead + (1,) + tail for lead in range(4) for tail in itertools.product(range(p), repeat=3 - lead)],
-        dtype=np.int64,
-    )
+    """Every representative (0,..,0,1,*,..,*) of a line of F_p^4, as rows
+    of int8 (p < 128), so that the tables of every p drawn stay small."""
+    blocks = []
+    for lead in range(4):
+        free = 3 - lead
+        tails = np.indices((p,) * free, dtype=np.int8).reshape(free, p**free).T
+        heads = np.zeros((p**free, lead + 1), dtype=np.int8)
+        heads[:, lead] = 1
+        blocks.append(np.hstack([heads, tails]))
+    return np.vstack(blocks)
 
 
 def naive_line_residues(f, p):
     """Which residues f takes mod p over all line representatives."""
-    ks = line_representatives(p)
+    ks = line_representatives(p).astype(np.int64)
     vals = sum((f[i][j] % p) * ks[:, i] * ks[:, j] for i in range(4) for j in range(i, 4)) % p
     table = np.zeros(p, dtype=bool)
     table[vals] = True
     return table
 
 
-ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+ODD_PRIMES = tuple(p for p in range(3, 80) if all(p % q for q in range(2, p)))  # every odd prime <= 79
 COEFF = st.integers(-10**6, 10**6)
 
 
 @st.composite
 def forms_with_last_coordinate(draw, case):
-    """(f, p): an odd prime p <= 31 and an upper-triangular integer form f.
+    """(f, p): an odd prime p <= 79 and an upper-triangular integer form f.
 
     Mod p, f starts as a sum of at most two terms lambda (u . k)^2, so that
     many value sets are partial.  Then only its last column is changed, so
@@ -322,6 +356,47 @@ def test_bruteforce_rejects_non_prime(p, monkeypatch):
     for route in (eichler_symbol_bruteforce, nrd_index_bruteforce):
         with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
             route(order, p)
+
+
+def test_bruteforce_refuses_a_prime_past_the_limit(monkeypatch):
+    order = build_order(pullback_circle(SurfaceIndex(3, 1, -11110, 1)))
+    assert reduced_discriminant(order) == 33331  # prime
+
+    def no_value_sets(*args):
+        raise AssertionError("value sets built for a prime past the limit")
+
+    monkeypatch.setattr(quatorder, "_local_value_sets", no_value_sets)
+    for route in (eichler_symbol_bruteforce, nrd_index_bruteforce):
+        with pytest.raises(ValueError, match="^p = 33331 is at or past the brute-force prime limit 1024$"):
+            route(order, 33331)
+
+
+def test_head_cache_stays_within_its_budget():
+    forms = build_order(pullback_circle(SurfaceIndex(3, 1, -1, 1))).quadratic_forms
+    odd_primes = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
+    for p in odd_primes:
+        _local_value_sets.__wrapped__(forms, p)
+    held = sum(a.nbytes for entry in quatorder._head_cache.values() for a in entry)
+    assert held <= 4 * 2**20  # the 4 MiB of the `_line_heads` docstring
+    assert 199 in quatorder._head_cache  # the latest table fits, so it is kept
+    assert sum(24 * (p * p + p + 1) for p in odd_primes) > 4 * 2**20  # so the loop evicted some
+
+
+def leibniz_det(m):
+    """sum over permutations s of sign(s) prod_i m[i][s(i)]."""
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@given(st.lists(st.lists(st.integers(-10**12, 10**12), min_size=4, max_size=4), min_size=4, max_size=4))
+def test_det4_matches_leibniz(m):
+    assert quatorder._det4(m) == leibniz_det(m)
 
 
 def brute_local_data(order):
