@@ -1,31 +1,29 @@
 """Surface enumeration, counting asymptotics, and Euler-product constants.
 
 One scan feeds xi, threshold ladders and record listings.  Residue m runs c
-downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d).  Every
-threshold decision is F(D) <= T, one integer bound T per class of D mod g
-(below), and F(D) is at least D L(D), L(D) the product of (1 - 1/q) over
-the first k inert primes q, k the most whose product is at most D; so the
-progression stops at the certified cap where D L(D) passes the largest T of
-its classes for good (_envelope_cap).  One sieve loop (_windows) lays the
-progressions end to end and cuts them into windows of at most _CHUNK
-entries.  Each window gets the integers F(D) = D prod_{p|D}(1 + chi(p)/p)
-from one progression sieve (weight_ratio_array), and its c below each
-threshold are counted or listed, so no array grows with the cap.  The sieve
-takes progressions whose e = gcd(D0, step) has only primes of d (the census
-sends e = d/g, the lemma a divisor of a) and refuses any other; it sieves
-n = D/e, by the primes up to the square root of max D/e, and returns
-F(D) = e F(D/e).  Requests past the factorization limit 10^12, however
-large the threshold, or past a fixed budget of
-candidates times thresholds (_MAX_PRICED) are refused before anything is
-sieved, with the same verdict on every machine.  Every threshold decision
-is one integer comparison: an area is pi F(D) times a rational fixed by
-D mod g (volume's side_factors, the closed form's one definition), below X
-exactly when F(D) is at most the class's bound T, found once per scan by
-compare_to_threshold; a listing prices its survivors as that rational
-times F(D).  The counting lemma counts F <= ceil(X) - 1 on the same
-windows and stops by the same rule, where n L(n) passes X.  Both keep nothing between calls and meet the same two refusals.
-Everything runs in the calling process: xi, surface_counts and
-enumerate_surfaces ignore their `jobs` keyword.
+downward along the progression D = D0 + (d/g)^2 j, g = gcd(m, d), and every
+residue's progression is one int64 array over m.  Every threshold decision
+is one integer comparison F(D) <= T, T the bound of D's class mod g: an area
+is pi F(D) times a rational fixed by D mod g (volume's side_factors, the
+closed form's one definition), below X exactly when F(D) is at most T,
+found once per scan by compare_to_threshold; a listing prices its survivors
+as that rational times F(D).  As F(D) is at least D L(D), L(D) the product
+of (1 - 1/q) over the first k inert primes q, k the most whose product is at
+most D, each progression stops at the certified cap where D L(D) passes the
+largest T of its classes for good (_envelope_cap).  One sieve loop
+(_windows) lays the progressions end to end in windows of at most _CHUNK
+entries, each finding its progressions by their cumulative starts.  A
+window's integers F(D) = D prod_{p|D}(1 + chi(p)/p) come from one
+progression sieve (weight_ratio_array), its candidates' classes from the
+symbol tables at the primes of g, and its c below each threshold are
+counted or listed, so no array grows with the cap.  Requests past the
+factorization limit 10^12, however large the threshold, or past a fixed
+budget of candidates times thresholds (_MAX_PRICED) are refused before
+anything is sieved, with the same verdict on every machine.  The counting
+lemma counts F <= ceil(X) - 1 on the same windows and stops by the same
+rule, where n L(n) passes X.  Both keep nothing between calls and meet the
+same two refusals.  Everything runs in the calling process: xi,
+surface_counts and enumerate_surfaces ignore their `jobs` keyword.
 
 Constants are truncated Euler products over a segmented prime sieve, with
 explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
@@ -42,14 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from math import gcd
 
 import numpy as np
 
 from .classgroup import is_admissible
-from .hermitian import d0_and_D, divisors_below_sqrt
-from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, is_squarefree, legendre, prime_blocks
+from .hermitian import divisors_below_sqrt
+from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, is_squarefree, prime_blocks, symbol_table
 from .volume import PI_DIGITS, ExactArea, compare_to_threshold, pi_bracket, side_factors
 from .volume import F_value  # public here too, as bianchisurf.census.F_value
 
@@ -192,31 +190,32 @@ _CHUNK = 1 << 17
 _MAX_PRICED = 2**34
 
 
-def _windows(d: int, progressions: list[tuple[int, int, int]], nthresholds: int):
-    """The progressions D = D0 + step * j, 0 <= j < total, one (D0, step,
-    total) each, laid end to end and cut into windows of at most _CHUNK
-    entries: an iterator of (pieces, F) per window.  F holds the window's
-    F(D) from one weight_ratio_array sieve, and pieces lists (k, j, s) for
-    each progression k in the window: its indices j, whose F(D) are F[s].
+def _windows(d: int, D0: np.ndarray, step: np.ndarray, count: np.ndarray, nthresholds: int):
+    """The progressions D = D0[k] + step[k] j, 0 <= j < count[k] (int64
+    arrays) laid end to end, in windows of at most _CHUNK entries: an
+    iterator of (k, n, j, F) per window.  Progression k[i] has n[i] entries
+    in it, found by clipping against the cumulative starts: the entries are
+    np.repeat(k, n) at index j, with F(D) in F from one weight_ratio_array.
 
     Refused at the call, before anything is sieved: a D at or past the
     factorization limit, then more entries times nthresholds than _MAX_PRICED."""
-    top = max((D0 + step * (n - 1) for D0, step, n in progressions if n), default=0)
+    live = np.flatnonzero(count > 0)
+    D0, step, count = D0[live], step[live], count[live]
+    top = int((D0 + step * (count - 1)).max(initial=0))
     if top >= _FACTOR_LIMIT:
         raise ValueError(f"would sieve up to {top}, past the factorization limit {_FACTOR_LIMIT}")
-    firsts = list(accumulate((n for *_, n in progressions), initial=0))
-    if firsts[-1] * nthresholds > _MAX_PRICED:
-        raise ValueError(f"would price {firsts[-1]} candidates at {nthresholds} threshold(s), past the budget of {_MAX_PRICED}")
+    ends = np.cumsum(count)
+    firsts, total = ends - count, int(count.sum())
+    if total * nthresholds > _MAX_PRICED:
+        raise ValueError(f"would price {total} candidates at {nthresholds} threshold(s), past the budget of {_MAX_PRICED}")
     def sieved():
-        for w0 in range(0, firsts[-1], _CHUNK):
-            # the entries lo <= j < hi of each progression in [w0, w0 + _CHUNK)
-            pieces, segments = [], []
-            for k, ((D0, step, n), f) in enumerate(zip(progressions, firsts)):
-                lo, hi = max(w0 - f, 0), min(w0 + _CHUNK - f, n)
-                if lo < hi:
-                    pieces.append((k, np.arange(lo, hi, dtype=np.int64), slice(f + lo - w0, f + hi - w0)))
-                    segments.append((D0 + step * lo, step, hi - lo))
-            yield pieces, weight_ratio_array(d, segments)
+        for w0 in range(0, total, _CHUNK):
+            # the progressions a <= k < b overlap [w0, w0 + _CHUNK), each at its entries lo <= j < lo + n
+            a, b = np.searchsorted(ends, w0, side="right"), np.searchsorted(firsts, w0 + _CHUNK)
+            lo = np.maximum(w0 - firsts[a:b], 0)
+            n = np.minimum(w0 + _CHUNK - firsts[a:b], count[a:b]) - lo
+            j = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n - lo, n)
+            yield live[a:b], n, j, weight_ratio_array(d, np.column_stack([D0[a:b] + step[a:b] * lo, step[a:b], n]))
     return sieved()
 
 
@@ -250,8 +249,8 @@ def count_F_in_progression(d: int, a: int, r: int, X) -> int:
         return 0
     start = r % a or a
     ncap = _envelope_cap(d, X, a)
-    windows = _windows(d, [(start, a, max(0, -(-(ncap - start) // a)))], 1)
-    return sum(int(np.count_nonzero(F <= math.ceil(X) - 1)) for _, F in windows)
+    windows = _windows(d, *np.array([[start], [a], [-(-(ncap - start) // a)]], dtype=np.int64), 1)
+    return sum(int(np.count_nonzero(F <= math.ceil(X) - 1)) for *_, F in windows)
 
 
 # --- census enumeration --------------------------------------------------
@@ -294,46 +293,48 @@ def _bounds(d: int, g: int, xs: list[Fraction]) -> dict[tuple[int, ...], tuple[F
 
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     """Every residue m in ascending order, c descending from c_start, the
-    largest c with m^2 > c d: D = D0 + (d/g)^2 j at c = c_start - j.  Returns
-    (qs, windows): windows yields, per window, the candidates' arrays
+    largest c with m^2 > c d: D = D0 + (d/g)^2 j at c = c_start - j, every
+    residue's data one int64 array over m (below 10^12, as d < 10^6).
+    Returns (qs, windows): windows yields, per window, the candidates' arrays
     (m, c, D, F, col) and one mask per threshold xs[i], set where the area
     qs[col] * F * pi is exactly below xs[i].
 
     A candidate is below xs[i] exactly when F(D) <= T[i], the bound of its
     class of D mod g (_bounds).  So each progression of a g stops at the
     envelope cap (_envelope_cap) at bound_factor times the largest T of its
-    classes: past it F(D) >= D L(D) passes every T.  Each window of
-    candidates is sieved once (_windows).  The caps' and the windows'
-    refusals come before any work that grows with g: one bound column per
-    class r of D mod g."""
-    gs = [gcd(m, d) for m in range(d)]
-    bounds = {g: _bounds(d, g, xs) for g in dict.fromkeys(gs)}
-    caps = {g: _envelope_cap(d, bound_factor * max(max(T) for _, T in b.values()), (d // g) ** 2)
-            for g, b in bounds.items()}
-    c_starts = [(m * m - 1) // d for m in range(d)]
-    progs = []
-    for m, c in enumerate(c_starts):
-        d0, D0 = d0_and_D(d, m, c)
-        progs.append((D0, d0 * d0, max(0, -(-(caps[gs[m]] - D0) // (d0 * d0)))))
-    windows = _windows(d, progs, len(xs))
-    classes = []  # every g's classes side by side: column offset[g] + r holds class r of D mod g
-    for g, b in bounds.items():
-        primes = [p for p, _ in factorize(g).factors]
-        classes += (b[tuple(legendre(r, p) for p in primes)] for r in range(g))
-    qs = [q for q, _ in classes]
-    T = np.array([column for _, column in classes], dtype=np.int64).T
-    offset = dict(zip(bounds, accumulate(bounds, initial=0)))
+    classes: past it F(D) >= D L(D) passes every T.  The caps' and the
+    windows' (_windows) refusals come before any work that grows with g:
+    the class of each r mod g, read from symbol_table at the primes of g."""
+    m = np.arange(d, dtype=np.int64)
+    g = np.gcd(m, d)
+    c_start = (m * m - 1) // d
+    step = (d // g) ** 2
+    D0 = d // g * ((m * m - c_start * d) // g)
+    gs, which = np.unique(g, return_inverse=True)
+    bounds = {h: _bounds(d, h, xs) for h in gs.tolist()}
+    caps = [_envelope_cap(d, bound_factor * max(max(T) for _, T in b.values()), (d // h) ** 2) for h, b in bounds.items()]
+    windows = _windows(d, D0, step, (np.array(caps, dtype=np.int64)[which] - D0 + step - 1) // step, len(xs))
+    # every g's classes side by side, in _bounds' order: class r of D mod g is column col_of[base + r]
+    qs, columns, col_of = [], [], []
+    for h, b in bounds.items():
+        r, key = np.arange(h, dtype=np.int64), np.zeros(h, dtype=np.int64)
+        for p, _ in factorize(h).factors:
+            key = 3 * key + symbol_table(p)[r % p] % 3  # symbols 0, 1, -1 as digits 0, 1, 2
+        col_of.append(len(qs) + key)
+        qs += (q for q, _ in b.values())
+        columns += (column for _, column in b.values())
+    T = np.array(columns, dtype=np.int64).T
+    col_of = np.concatenate(col_of)
+    base = (np.cumsum(gs) - gs)[which]
 
     def scanned():
-        for pieces, W in windows:
+        for k, n, j, W in windows:
             # read through an index array: perfbench counts such reads as candidates
             F = W[np.arange(len(W))]
-            m, c, D, col = np.empty((4, len(F)), dtype=np.int64)
-            for k, j, piece in pieces:  # progression k is residue m = k
-                D0, step, _ = progs[k]
-                D[piece] = Dk = D0 + step * j
-                m[piece], c[piece], col[piece] = k, c_starts[k] - j, offset[gs[k]] + Dk % gs[k]
-            yield m, c, D, F, col, [F <= T[i, col] for i in range(len(xs))]
+            each = lambda a: np.repeat(a[k], n)  # noqa: E731  a's value at each candidate's residue
+            D = each(D0) + each(step) * j
+            col = col_of[each(base) + D % each(g)]
+            yield np.repeat(k, n), each(c_start) - j, D, F, col, [F <= bound[col] for bound in T]
 
     return qs, scanned()
 

@@ -134,13 +134,25 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def symbol_table(p: int) -> np.ndarray:
+    """The Legendre symbols (r/p), 0 <= r < p, at an odd prime p below
+    _SIEVE_LIMIT, as one read-only int64 array built from the squares mod p."""
+    if not (2 < p < _SIEVE_LIMIT and is_prime(p)):
+        raise ValueError(f"symbol_table requires an odd prime below {_SIEVE_LIMIT}, got p={p}")
+    out = np.full(p, -1, dtype=np.int64)
+    out[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    out[0] = 0
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class QuadraticCharacter:
     """Quadratic character chi_{-d} of discriminant -d for square-free d = 3
     mod 4, or chi_{-4} when d = 4: the Jacobi symbol (n/d) = prod_{p|d} (n/p),
     as reciprocity gives (-d/q) = (q/d) at odd primes q not dividing d, the
     mod-8 rule gives (-d/2) = (2/d), and both vanish on p | d.  So chi is one
-    int64 table of period d, built once from the squares mod each p | d and
+    int64 table of period d, built once from symbol_table at each p | d and
     not writeable: chi(n) = table[n % d].  A d of _SIEVE_LIMIT or more is
     refused at construction, so no table outgrows _SPF.
     """
@@ -162,10 +174,7 @@ class QuadraticCharacter:
         else:
             out = np.ones(self.d, dtype=np.int64)
             for p, _ in factorize(self.d).factors:
-                squares = np.full(p, -1, dtype=np.int64)
-                squares[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
-                squares[0] = 0
-                out *= np.tile(squares, self.d // p)
+                out *= np.tile(symbol_table(p), self.d // p)
         out.flags.writeable = False
         return out
 

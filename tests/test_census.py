@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchisurf import census
+from bianchisurf import census, hermitian, ntkernel
 from bianchisurf.census import (
     _bounds,
     _envelope_cap,
@@ -201,6 +201,36 @@ def test_xi_spot_values():
     assert xi(3, Fraction("0.5")) == 0
     assert xi(3, Fraction("1.1")) == 2
     assert xi(3, Fraction("2.2")) == 5
+
+
+def test_xi_at_a_million():
+    # many windows start and end inside a progression
+    assert [xi(d, 10**6) for d in (3, 15, 195)] == [1735235, 2014930, 6875632]
+
+
+def test_census_sets_up_residues_as_arrays(monkeypatch):
+    # the residues' progressions and classes come from int64 arrays and
+    # symbol tables, not from one legendre or d0_and_D call per residue
+    calls = {"legendre": 0, "d0_and_D": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (ntkernel, hermitian, census):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    segments = []
+    sieve = census.weight_ratio_array
+    monkeypatch.setattr(census, "weight_ratio_array", lambda d, segs: segments.extend(segs) or sieve(d, segs))
+    assert xi(100003, 100) == 166
+    assert calls == {"legendre": 0, "d0_and_D": 0}
+    assert segments and all(n > 0 for *_, n in segments)
+    assert xi(1155, 10) == _brute_xi(1155, Fraction(10)) == 544
 
 
 def test_xi_independent_of_jobs():

@@ -45,6 +45,14 @@ COMMANDS = [
     # brute-force route's prime limit
     "verify order 3 1 -11112",
     "verify order 3 1 -11110",
+    # the flat candidate layout: a prime d where most residues have no
+    # candidate, omega(d) = 4 and its four-symbol classes, a large field's
+    # count, the lemma at tau(d) = 8, and the area refusal past the table limit
+    "census 10007 50 --format csv",
+    "census 1155 5 --format csv",
+    "census 100003 100",
+    "lemma-count 195 1 0 100000",
+    "area 1000000007 1 0",
 ]
 
 

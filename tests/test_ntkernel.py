@@ -16,6 +16,7 @@ from bianchisurf.ntkernel import (
     is_squarefree,
     legendre,
     prime_blocks,
+    symbol_table,
 )
 
 
@@ -173,6 +174,20 @@ def test_character_table_read_only():
 def test_character_multiplicative(d, a, b):
     c = character(d)
     assert c(a * b) == c(a) * c(b)
+
+
+def test_symbol_table_matches_legendre():
+    for p in PRIMES[1:]:
+        if p >= 400:
+            break
+        assert symbol_table(p).tolist() == [legendre(r, p) for r in range(p)], p
+    table = symbol_table(999983)
+    assert len(table) == 999983 and not table.flags.writeable
+    for r in [*range(0, 999983, 491), 999982]:
+        assert table[r] == legendre(r, 999983), r
+    for p in (2, 9, 1000003):
+        with pytest.raises(ValueError, match="odd prime"):
+            symbol_table(p)
 
 
 def test_character_at_prime_agrees_with_legendre():
