@@ -30,7 +30,6 @@ from .classgroup import (
 from .hermitian import (
     HermitianCircle,
     SurfaceIndex,
-    canonical_circle,
     pullback_circle,
     sigma_r,
     surface_invariants,
@@ -44,7 +43,6 @@ from .quatorder import (
     nrd_index,
     nrd_index_bruteforce,
     reduced_discriminant,
-    rho_prime,
 )
 from .volume import ExactArea, area_closed_form, area_via_order, compare_to_threshold
 
@@ -66,7 +64,6 @@ __all__ = [
     "area_closed_form",
     "area_via_order",
     "build_order",
-    "canonical_circle",
     "character",
     "class_group",
     "compare_to_threshold",
@@ -88,7 +85,6 @@ __all__ = [
     "reduced_discriminant",
     "reduced_forms",
     "residue_constant_check",
-    "rho_prime",
     "sigma_r",
     "surface_invariants",
     "xi",

@@ -11,7 +11,7 @@ Every class group is computed on request; nothing is stored on disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .ntkernel import factorize, is_squarefree
 
@@ -180,10 +180,10 @@ def class_group(d: int) -> ClassGroupStructure:
             divisors.append(val)  # built largest first
         divisors.reverse()
         result = ClassGroupStructure(d, h, tuple(divisors))
-    check = 1
-    for v in result.elementary_divisors:
-        check *= v
-    assert check == result.order, (d, result)
+    if prod(result.elementary_divisors) != h:
+        raise ValueError(
+            f"internal consistency: elementary divisors {result.elementary_divisors} do not multiply to h(-{d}) = {h}"
+        )
     return result
 
 

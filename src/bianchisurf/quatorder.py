@@ -12,13 +12,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
-from .hermitian import HermitianCircle, Mat2, QuadExt
+from .hermitian import HermitianCircle
 from .ntkernel import character, is_prime, legendre
 
 
@@ -39,9 +38,9 @@ class QuaternionAlgebra:
         return self.b_alg
 
 
-def _quat_mul(al: int, be: int, u, v) -> tuple:
-    """Coordinates of (t1 + x1 i + y1 j + z1 ij)(t2 + ...) for i^2 = al,
-    j^2 = be; exact for int and Fraction coordinates alike."""
+def _quat_mul(al: int, be: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Integer coordinates of (t1 + x1 i + y1 j + z1 ij)(t2 + ...) for
+    i^2 = al, j^2 = be."""
     t1, x1, y1, z1 = u
     t2, x2, y2, z2 = v
     return (
@@ -50,56 +49,6 @@ def _quat_mul(al: int, be: int, u, v) -> tuple:
         t1 * y2 + y1 * t2 + al * (x1 * z2 - z1 * x2),
         t1 * z2 + z1 * t2 + (x1 * y2 - y1 * x2),
     )
-
-
-@dataclass(frozen=True)
-class QuatElement:
-    """t + x i + y j + z ij with rational coordinates."""
-
-    alg: QuaternionAlgebra
-    t: Fraction
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    @staticmethod
-    def of(alg: QuaternionAlgebra, t, x=0, y=0, z=0) -> "QuatElement":
-        return QuatElement(alg, Fraction(t), Fraction(x), Fraction(y), Fraction(z))
-
-    def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.t, self.x, self.y, self.z)
-
-    def __add__(self, o: "QuatElement") -> "QuatElement":
-        return QuatElement(self.alg, self.t + o.t, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __sub__(self, o: "QuatElement") -> "QuatElement":
-        return QuatElement(self.alg, self.t - o.t, self.x - o.x, self.y - o.y, self.z - o.z)
-
-    def __neg__(self) -> "QuatElement":
-        return QuatElement(self.alg, -self.t, -self.x, -self.y, -self.z)
-
-    def scale(self, k) -> "QuatElement":
-        k = Fraction(k)
-        return QuatElement(self.alg, self.t * k, self.x * k, self.y * k, self.z * k)
-
-    def __mul__(self, o: "QuatElement") -> "QuatElement":
-        if self.alg != o.alg:
-            raise ValueError("elements of different algebras")
-        return QuatElement(self.alg, *_quat_mul(self.alg.a_alg, self.alg.b_alg, self.coords(), o.coords()))
-
-    def conjugate(self) -> "QuatElement":
-        return QuatElement(self.alg, self.t, -self.x, -self.y, -self.z)
-
-    def trd(self) -> Fraction:
-        return 2 * self.t
-
-    def nrd(self) -> Fraction:
-        al, be = self.alg.a_alg, self.alg.b_alg
-        return self.t**2 - al * self.x**2 - be * self.y**2 + al * be * self.z**2
-
-    def delta(self) -> Fraction:
-        """Discriminant form trd^2 - 4 nrd."""
-        return self.trd() ** 2 - 4 * self.nrd()
 
 
 @dataclass(frozen=True)
@@ -138,11 +87,6 @@ class QuaternionOrder:
     @property
     def D(self) -> int:
         return self.algebra.D
-
-    @cached_property
-    def basis(self) -> tuple[QuatElement, ...]:
-        """The rational basis e_i = rows[i] / N as quaternion elements."""
-        return tuple(QuatElement(self.algebra, *(Fraction(c, self.N) for c in row)) for row in self.rows)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -204,7 +148,8 @@ def lattice_params(a: int, b: int, c0: int, d: int, d0: int) -> tuple[int, int, 
         beta = 0
     else:
         beta = (pow((b * d) // g1, -1, alpha1) * (rhs // g1)) % alpha1
-    assert (b * d * beta + c0 * alpha2) % a == 0
+    if (b * d * beta + c0 * alpha2) % a:
+        raise ValueError(f"internal consistency: lattice vector ({beta}, {alpha2}) fails b d m + c0 l = 0 mod {a}")
     return alpha1, alpha2, beta
 
 
@@ -543,49 +488,3 @@ def nrd_index_bruteforce(order: QuaternionOrder, p: int) -> int:
     if nonzero == {1, -1}:
         return 1
     raise ValueError(f"unexpected norm residue classes at p = {p}: {sorted(nonzero | {0})}")
-
-
-# --- matrix representations ---------------------------------------------
-
-
-def matrix_rep(elem: QuatElement) -> Mat2:
-    """The splitting rho: 1 -> I, i -> diag(w, -w), j -> [[0, D],[1, 0]]
-    with w = sqrt(-d); every image has the shape [[X, D Y],[conj(Y), conj(X)]]."""
-    d, D = elem.alg.d, elem.alg.D
-    X = QuadExt(d, elem.t, elem.x)
-    Y = QuadExt(d, elem.y, elem.z)
-    return Mat2(X, Y.scale(D), Y.conjugate(), X.conjugate())
-
-
-def rho_prime(order: QuaternionOrder, elem: QuatElement) -> Mat2:
-    """rho conjugated by T = [[a, b w],[0, 1]]; sends the order into
-    matrices over O_d and its unit group into the circle stabilizer."""
-    d, D = order.d, order.D
-    a, b, c0 = order.params.a, order.params.b, order.params.c0
-    t, x, y, z = elem.coords()
-    e00 = QuadExt(d, t - b * d * z, x - b * y)
-    e01 = QuadExt(d, Fraction(-2 * b * d * x + (d * b * b + D) * y, a), -c0 * z)
-    e10 = QuadExt(d, a * y, -a * z)
-    e11 = QuadExt(d, t + b * d * z, -x + b * y)
-    return Mat2(e00, e01, e10, e11)
-
-
-def norm_one_elements(order: QuaternionOrder, bound: int = 10, limit: int = 20) -> list[QuatElement]:
-    """Order elements of reduced norm 1 with basis coordinates in
-    [-bound, bound], excluding +-1, in deterministic scan order."""
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    Q = _form_values(order.quadratic_forms[1], np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True))
-    hits = np.argwhere(Q == 1)
-    out = []
-    for idx in hits:
-        coeffs = [int(c) - bound for c in idx]
-        if coeffs[1] == coeffs[2] == coeffs[3] == 0:
-            continue  # +-1 and 0-padded scalars are not useful witnesses
-        elem = order.basis[0].scale(coeffs[0])
-        for c, e in zip(coeffs[1:], order.basis[1:]):
-            if c:
-                elem = elem + e.scale(c)
-        out.append(elem)
-        if len(out) >= limit:
-            break
-    return out

@@ -363,8 +363,8 @@ def order_report(d: int, m: int, c: int) -> dict:
             "beta": order.params.beta,
         },
         "basis": [
-            {"t": str(e.t), "x": str(e.x), "y": str(e.y), "z": str(e.z)}
-            for e in order.basis
+            {k: str(Fraction(v, order.N)) for k, v in zip("txyz", row)}
+            for row in order.rows
         ],
         "reduced_discriminant": drd,
         "local_data": locals_,

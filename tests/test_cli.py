@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: output formats, exit codes,
 determinism."""
 
+import ast
 import csv
 import io
 import json
+from pathlib import Path
 
+import bianchisurf
 from bianchisurf.census import enumerate_surfaces, xi
 from bianchisurf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
@@ -205,3 +208,13 @@ def test_fast_constants_suite_passes_with_table_notes(capsys, constants_bundle):
         )
         assert note in out
     assert out.count("  note: d=") == len(constants_bundle) == 6
+
+
+def test_library_has_no_assert_statements():
+    """`python -O` strips assert statements, so every consistency check in
+    the package must raise explicitly."""
+    modules = list(Path(bianchisurf.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

@@ -8,11 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bianchisurf.hermitian import (
-    HermitianCircle,
-    Mat2,
-    QuadExt,
     SurfaceIndex,
-    canonical_circle,
     d0_and_D,
     divisors_below_sqrt,
     pullback_circle,
@@ -22,6 +18,7 @@ from bianchisurf.hermitian import (
 )
 from bianchisurf.ntkernel import is_squarefree
 from bianchisurf.verify import pairs_under
+from oracle_rational import Mat2, QuadExt, canonical_circle, circle_matrix, coset_matrix
 
 FIELD_DS = [d for d in range(3, 200, 4) if is_squarefree(d)]
 
@@ -44,7 +41,7 @@ def test_quadext_field_integers():
 
 def test_mat2_identity_and_det():
     eye = Mat2.identity(3)
-    g = sigma_r(3, 1).matrix()
+    g = coset_matrix(sigma_r(3, 1))
     assert eye @ g == g
     assert g @ eye == g
     assert g.det() == QuadExt.of(3, 1)
@@ -52,7 +49,7 @@ def test_mat2_identity_and_det():
 
 def test_hermitian_matrix_is_selfadjoint():
     circ = canonical_circle(15, 2, -1)
-    h = circ.matrix()
+    h = circle_matrix(circ)
     assert h.conj_transpose() == h
 
 
@@ -84,7 +81,7 @@ def test_sigma_r_bezout_and_determinant():
             assert sig.s * sig.u - r * sig.v == 1
             assert sig.v % 2 == 0
             assert sig.u * d - r * r * sig.v == r  # determinant identity
-            assert sig.matrix().det() == QuadExt.of(d, r)
+            assert coset_matrix(sig).det() == QuadExt.of(d, r)
 
 
 def test_sigma_r_minimal_even_v():
@@ -148,10 +145,10 @@ def test_pullback_matches_conjugated_circle():
     cases = [(3, 1, -1, 1), (3, 0, -1, 1), (15, 5, -5, 3), (15, 2, -1, 1), (15, 2, -1, 3), (23, 7, 2, 1)]
     for d, m, c, r in cases:
         idx = SurfaceIndex(d, m, c, r)
-        sig = sigma_r(d, r).matrix()
-        conj = sig.conj_transpose() @ canonical_circle(d, m, c).matrix() @ sig
+        sig = coset_matrix(sigma_r(d, r))
+        conj = sig.conj_transpose() @ circle_matrix(canonical_circle(d, m, c)) @ sig
         scale = gcd(m, d) * r
-        pb = pullback_circle(idx).matrix()
+        pb = circle_matrix(pullback_circle(idx))
         assert conj == pb.scale(scale) or conj == pb.scale(-scale)
 
 
