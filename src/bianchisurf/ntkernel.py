@@ -193,6 +193,14 @@ def character(d: int) -> QuadraticCharacter:
 # Euler log-sums
 PRIME_BLOCK = 1 << 21
 
+# The wheel of prime_blocks: entry k is whether the odd number 2k + 1 is prime
+# to 3, 5, 7, 11 and 13, a pattern of period 15015 in k (15 KB).
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.ones(math.prod(_WHEEL_PRIMES), dtype=bool)
+for _q in _WHEEL_PRIMES:
+    _WHEEL[(_q - 1) // 2 :: _q] = False
+del _q
+
 
 def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterator[np.ndarray]:
     """Yield the primes p with start <= p < limit as ascending int64 arrays,
@@ -204,6 +212,12 @@ def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterat
     array lies inside one of them, except that the 2 leads the first.  Empty
     blocks are not yielded.
 
+    Each segment starts from the wheel _WHEEL, rolled to its first odd number
+    and doubled out to its length, so the multiples of 3, 5, 7, 11 and 13 are
+    already struck and the wheel primes themselves are put back.  The first
+    hit of every other sieving prime is computed in one array pass, and only
+    the primes that hit the segment strike it.
+
     The sieving primes are read from PRIMES, which holds every one up to
     sqrt(limit) while limit <= 1e12; a larger limit is refused before any
     block is yielded.
@@ -212,22 +226,33 @@ def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterat
         raise ValueError(f"prime_blocks supports limit <= {_FACTOR_LIMIT}, got {limit}")
     if limit <= 2 or (start > 3 and start >= limit):
         return
-    base_odd = PRIMES[1 : bisect_right(PRIMES, math.isqrt(limit - 1))]
+    base = np.array(PRIMES[len(_WHEEL_PRIMES) + 1 : bisect_right(PRIMES, math.isqrt(limit - 1))], dtype=np.int64)
 
     two = start <= 3
     # at least one pass, so that limit = 3 still yields the 2
     for lo in range(start, max(limit, start + 1), block):
         hi = min(lo + block, limit)
         first = max(lo | 1, 3)
-        seg = np.ones(max(hi - first + 1, 0) // 2, dtype=bool)
-        for p in base_odd:
-            hit = max(p * p, ((first + p - 1) // p) * p)
-            if hit >= hi:
-                continue
-            if hit % 2 == 0:
-                hit += p
-            seg[(hit - first) // 2 :: p] = False
-        primes = first + 2 * np.nonzero(seg)[0].astype(np.int64)
+        n = max(hi - first + 1, 0) // 2
+        # seg[i] stands for first + 2 i, the odd number of wheel index
+        # (first - 1) // 2 + i
+        seg = np.empty(n, dtype=bool)
+        seg[: len(_WHEEL)] = np.roll(_WHEEL, -((first - 1) // 2))[:n]
+        k = len(_WHEEL)
+        while k < n:
+            seg[k : 2 * k] = seg[: min(k, n - k)]
+            k *= 2
+        for q in _WHEEL_PRIMES:
+            if first <= q < hi:
+                seg[(q - first) // 2] = True
+        # the first odd multiple of p in the segment, from p * p on
+        hit = np.maximum(base * base, -(-first // base) * base)
+        hit += base * (hit % 2 == 0)
+        index = (hit - first) // 2
+        strikes = index < n
+        for j, p in zip(index[strikes].tolist(), base[strikes].tolist()):
+            seg[j::p] = False
+        primes = first + 2 * np.flatnonzero(seg)
         if two:
             primes = np.concatenate([np.array([2], dtype=np.int64), primes])
             two = False

@@ -5,11 +5,14 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bianchisurf
 from bianchisurf.census import enumerate_surfaces, xi
-from bianchisurf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from bianchisurf.cli import EXIT_BROKEN_PIPE, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
 
 def run(capsys, *argv):
@@ -186,6 +189,19 @@ def test_exit_codes(capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == EXIT_USAGE, argv
         assert out == "" and err.startswith("usage: bianchisurf") and "error:" in err
+
+
+def test_reader_closing_the_pipe_exits_141_quietly():
+    # about 900 KB of records, far past a pipe's buffer, so the writer meets
+    # the closed pipe; the reader takes one line, as `| head -1` does
+    env = {**os.environ, "PYTHONPATH": str(Path(bianchisurf.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bianchisurf.cli", "census", "3", "3000", "--records"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_area_refuses_d4(capsys):

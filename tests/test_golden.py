@@ -27,6 +27,7 @@ COMMANDS = [
     *(f"lemma-count 15 15 {r} 100000" for r in range(15)),
     "lemma-count 15 1 0 100000",
     "constant 3 --digits 6 --full",
+    "constant 4 --digits 6 --full",
     "fit 3 --points 1000,10000",
     "verify order 15 2 -1",
     "check 39",

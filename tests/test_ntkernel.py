@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchisurf.ntkernel import (
+    _SPF,
     PRIME_BLOCK,
     PRIMES,
     QuadraticCharacter,
@@ -88,6 +90,40 @@ def test_prime_blocks_start():
                 for i, b in enumerate(blocks):
                     inner = b[1:] if i == 0 and b[0] == 2 else b
                     assert len({(p - start) // block for p in inner}) <= 1
+
+
+def test_prime_blocks_match_the_factor_table_across_the_wheel():
+    # each segment starts from the wheel of period 15015 (odd numbers prime to
+    # 3 5 7 11 13, which are put back), so blocks near and across that period,
+    # at starts off it and at starts below the wheel primes
+    rng = random.Random(20260)
+    for block in (2, 7, 1000, 15014, 15016, PRIME_BLOCK):
+        for start in [1, 4, 12] + [s for s in rng.sample(range(1, 10**6), 10) if s % 15015]:
+            limit = rng.randrange(start, min(10**6, start + 400 * block) + 1)
+            blocks = list(prime_blocks(limit, block, start))
+            assert all(b.dtype == np.int64 and len(b) for b in blocks)
+            n = np.arange(max(start, 3), limit)
+            want = ([2] if start <= 3 and limit > 2 else []) + n[_SPF[n] == n].tolist()
+            assert [p for b in blocks for p in b.tolist()] == want
+            for i, b in enumerate(blocks):
+                inner = b[1:] if i == 0 and b[0] == 2 else b
+                assert len({(p - start) // block for p in inner.tolist()}) <= 1
+
+
+def test_prime_blocks_grid_block_matches_plain_odd_sieve():
+    # the grid block of the Euler log-sums near 2.9e8, against an odd-only
+    # segment sieve by every odd prime up to its square root
+    lo = 3 + 138 * PRIME_BLOCK
+    hi = lo + PRIME_BLOCK
+    seg = np.ones(PRIME_BLOCK // 2, dtype=bool)  # seg[i] stands for lo + 2 i
+    for p in PRIMES[1:]:
+        if p * p >= hi:
+            break
+        hit = -(-lo // p) * p
+        hit += p if hit % 2 == 0 else 0
+        seg[(hit - lo) // 2 :: p] = False
+    (got,) = prime_blocks(hi, PRIME_BLOCK, lo)
+    assert np.array_equal(got, lo + 2 * np.flatnonzero(seg))
 
 
 def test_prime_blocks_refuses_past_factor_limit():
