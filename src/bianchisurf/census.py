@@ -30,7 +30,9 @@ explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
 summed block by block on a fixed grid of PRIME_BLOCK integers and cached
 per field at every grid point a pass crosses, so a new truncation prime
 resumes from the last checkpoint below it and each field sieves a prime
-range once; the sums are bit-identical whatever the cache held.  Every
+range once; the sums are bit-identical whatever the cache held.  A pass
+of more than one block sieves the next block in one worker thread while
+the caller sums the current one, and joins it before it returns.  Every
 constant request checks its truncation prime (4 to 10^12) and, for the
 leading constant, every field before anything is sieved.
 """
@@ -38,6 +40,7 @@ leading constant, every field before anything is sieved.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -306,7 +309,10 @@ def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     windows' (_windows) refusals come before any work that grows with g:
     the class of each r mod g, read from symbol_table at the primes of g."""
     m = np.arange(d, dtype=np.int64)
-    g = np.gcd(m, d)
+    # gcd(m, d) from the primes of d, which is square-free
+    g = np.ones(d, dtype=np.int64)
+    for p, _ in factorize(d).factors:
+        g[::p] *= p
     c_start = (m * m - 1) // d
     step = (d // g) ** 2
     D0 = d // g * ((m * m - c_start * d) // g)
@@ -442,6 +448,48 @@ class ConstantReport:
 _SUMS_CACHE: dict[tuple[int, int], tuple[float, float, int]] = {}
 
 
+def _sieved_ahead(blocks):
+    """The items of the iterator blocks, in order, each fetched by a worker
+    thread while the caller works on the one before it: one item, and one
+    thread, in flight at a time.  An exception in the worker is raised here,
+    and the worker is joined before anything leaves, so no thread outlives
+    the iteration, however it ends."""
+    got: list = []
+
+    def fetch():
+        try:
+            got.append((next(blocks, None), None))
+        except BaseException as exc:
+            got.append((None, exc))
+
+    def ahead():
+        worker = threading.Thread(target=fetch, name="bianchisurf-sieve")
+        worker.start()
+        return worker
+
+    worker = ahead()
+    try:
+        while True:
+            worker.join()
+            block, exc = got.pop()
+            if exc is not None:
+                raise exc
+            if block is None:
+                return
+            worker = ahead()
+            yield block
+    finally:
+        worker.join()
+
+
+def _prime_pass(limit: int, start: int = 3):
+    """prime_blocks(limit, PRIME_BLOCK, start), sieved one block ahead in a
+    worker thread (_sieved_ahead) when it spans more than one block; a pass
+    inside one block runs inline and starts no thread."""
+    blocks = prime_blocks(limit, PRIME_BLOCK, start)
+    return _sieved_ahead(blocks) if limit - start > PRIME_BLOCK else blocks
+
+
 def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
     """Per-d log-sums of the main-product factor and the C factor over the
     primes below limit, with the number of primes: {d: (main, c, N)}.
@@ -453,7 +501,9 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
     from its largest cached grid point at or below limit, found by walking
     down the grid from limit; the d of one call share one pass, each joining
     at its own point.  The additions are the same whatever the cache held,
-    so the sums do not depend on its history, bit for bit."""
+    so the sums do not depend on its history, bit for bit.  A pass of more
+    than one block sieves the next block in a worker thread while this one
+    is summed (_prime_pass); the sums are still added here, in grid order."""
     _check_prime_limit(limit)
     missing = [d for d in dict.fromkeys(ds) if (d, limit) not in _SUMS_CACHE]
     if missing:
@@ -461,7 +511,7 @@ def _euler_log_sums(ds, limit: int) -> dict[int, tuple[float, float, int]]:
         # each d resumes from its largest cached grid point
         joins = {d: next((k for k in range(len(grid) - 1, 0, -1) if (d, grid[k]) in _SUMS_CACHE), 0) for d in missing}
         sums = {d: list(_SUMS_CACHE.get((d, grid[k]), (0.0, 0.0, 0))) for d, k in joins.items()}
-        for block in prime_blocks(limit, PRIME_BLOCK, grid[min(joins.values())]):
+        for block in _prime_pass(limit, grid[min(joins.values())]):
             # the block's grid index from its last prime (limit >= 4 puts 3 in block 0)
             k = (int(block[-1]) - 3) // PRIME_BLOCK
             pf = block.astype(np.float64)
@@ -584,12 +634,13 @@ def residue_constant_check(d: int, a: int, prime_limit: int = 10_000_000) -> Res
     product times prod_{p|a}(1 - 1/p) against phi(a) C / a.
 
     The product side runs its own literal loop over the primes and never
-    reads _SUMS_CACHE, so it stays an independent check of constant_C."""
+    reads _SUMS_CACHE, so it stays an independent check of constant_C.  It
+    sieves ahead in a worker thread as _euler_log_sums does (_prime_pass)."""
     _check_modulus(d, a)
     _check_prime_limit(prime_limit)
     table = character(d).table
     logsum = 0.0
-    for block in prime_blocks(prime_limit):
+    for block in _prime_pass(prime_limit):
         pf = block.astype(np.float64)
         ch = table[block % d].astype(np.float64)
         # 1 - 1/p + (1 + chi/p)^-1 / p, evaluated literally

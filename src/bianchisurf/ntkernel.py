@@ -218,6 +218,11 @@ def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterat
     hit of every other sieving prime is computed in one array pass, and only
     the primes that hit the segment strike it.
 
+    Each block's primes are built in place from the indices of its set
+    entries, and the segment is dropped first, so a block holds at most one
+    index-sized array at a time: census sieves its multi-block passes in a
+    worker thread, whose allocations stay small that way.
+
     The sieving primes are read from PRIMES, which holds every one up to
     sqrt(limit) while limit <= 1e12; a larger limit is refused before any
     block is yielded.
@@ -252,7 +257,10 @@ def prime_blocks(limit: int, block: int = PRIME_BLOCK, start: int = 3) -> Iterat
         strikes = index < n
         for j, p in zip(index[strikes].tolist(), base[strikes].tolist()):
             seg[j::p] = False
-        primes = first + 2 * np.flatnonzero(seg)
+        primes = np.flatnonzero(seg)
+        del seg
+        primes *= 2
+        primes += first
         if two:
             primes = np.concatenate([np.array([2], dtype=np.int64), primes])
             two = False

@@ -5,6 +5,8 @@ import math
 import operator
 import os
 import signal
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -725,6 +727,73 @@ def test_log_sums_resume_from_grid_checkpoint(monkeypatch):
     assert leading_constant(3, 2 * 10**7 + 12345) == rep
     census._SUMS_CACHE.clear()
     assert leading_constants_bundle((15, 3), 2 * 10**7 + 54321) == bundle
+
+
+
+def _sum_bits(sums):
+    return {key: (main.hex(), c.hex(), n) for key, (main, c, n) in sums.items()}
+
+
+def test_euler_log_sums_match_a_sequential_block_loop(monkeypatch):
+    # six blocks, so the pass sieves ahead in a worker; every checkpoint and
+    # the final sums must be the per-block additions of a plain loop, in order
+    ds, limit = (3, 4, 15), 3 + 5 * PRIME_BLOCK + 7
+    sums = {d: [0.0, 0.0, 0] for d in ds}
+    expected = {}
+    for k, block in enumerate(prime_blocks(limit)):
+        pf = block.astype(np.float64)
+        for d in ds:
+            ch = character(d).table[block % d].astype(np.float64)
+            s = sums[d]
+            s[0] += float(np.sum(np.log1p(((1.0 / pf) - ch * ch - ch) / (pf * pf))))
+            s[1] += float(np.sum(np.log1p(-ch / (pf * (pf + ch)))))
+            s[2] += len(block)
+            expected[d, min(3 + (k + 1) * PRIME_BLOCK, limit)] = tuple(s)
+    monkeypatch.setattr(census, "_SUMS_CACHE", {})
+    got = census._euler_log_sums(ds, limit)
+    assert _sum_bits(got) == _sum_bits({d: expected[d, limit] for d in ds})
+    assert _sum_bits(census._SUMS_CACHE) == _sum_bits(expected)
+
+
+def test_sieve_error_reaches_the_caller_and_no_thread_survives(monkeypatch):
+    real_blocks = census.prime_blocks
+
+    def two_then_fail(limit, block, start=3):
+        blocks = real_blocks(limit, block, start)
+        yield next(blocks)
+        yield next(blocks)
+        raise RuntimeError("sieve defect")
+
+    monkeypatch.setattr(census, "_SUMS_CACHE", {})
+    monkeypatch.setattr(census, "prime_blocks", two_then_fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="sieve defect"):
+        census._euler_log_sums((3,), 3 + 4 * PRIME_BLOCK)
+    assert threading.active_count() == before
+
+    # a caller that stops early waits for the block in flight
+    def slow():
+        yield np.array([3])
+        time.sleep(0.2)
+        yield np.array([5])
+
+    ahead = census._sieved_ahead(slow())
+    assert next(ahead).tolist() == [3]
+    ahead.close()
+    assert threading.active_count() == before
+
+
+def test_single_block_passes_start_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise RuntimeError("thread started")
+
+    monkeypatch.setattr(census, "_SUMS_CACHE", {})
+    constant_C(3, 7)
+    monkeypatch.setattr(census.threading, "Thread", no_thread)
+    assert constant_C(3, 6).truncation_prime == 2 * 10**6 + 1
+    assert leading_constant(3, 2 * 10**7 + 12345).truncation_prime == 2 * 10**7 + 12345
+    with pytest.raises(RuntimeError, match="thread started"):
+        constant_C(15, 7)  # ten blocks: this pass does sieve ahead
 
 
 def test_huge_digit_request_gets_default_cap(monkeypatch):
