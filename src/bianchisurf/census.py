@@ -23,7 +23,9 @@ anything is sieved, with the same verdict on every machine.  The counting
 lemma counts F <= ceil(X) - 1 on the same windows and stops by the same
 rule, where n L(n) passes X.  Both keep nothing between calls and meet the
 same two refusals.  Everything runs in the calling process: xi,
-surface_counts and enumerate_surfaces ignore their `jobs` keyword.
+surface_counts and enumerate_surfaces ignore their `jobs` keyword.  A field
+is admitted by the 4-rank of its class group, read off the primes of d
+(classgroup.four_rank), so an admitted request builds no class group.
 
 Constants are truncated Euler products over a segmented prime sieve, with
 explicit tail certificates (Rosser's p_n > n log n).  Their log-sums are
@@ -48,7 +50,7 @@ from math import gcd
 
 import numpy as np
 
-from .classgroup import is_admissible
+from .classgroup import four_rank, is_admissible
 from .hermitian import divisors_below_sqrt
 from .ntkernel import _FACTOR_LIMIT, PRIME_BLOCK, PRIMES, character, divisor_stats, factorize, is_squarefree, prime_blocks, symbol_table
 from .volume import PI_DIGITS, ExactArea, compare_to_threshold, pi_bracket, side_factors
@@ -58,11 +60,16 @@ DEFAULT_PRIME_LIMIT = 300_000_000
 
 
 def _require_admissible(d: int) -> None:
-    """Refuses an inadmissible d, and d = 4.  A d of the right shape past the
-    character table's limit is refused before is_admissible's class group,
-    whose cost grows with d."""
+    """Refuses an inadmissible d, and d = 4.  A d of the right shape
+    (square-free, 3 mod 4) is refused past the character table's limit, and
+    admitted when its class group has 4-rank 0, read off the primes of d by
+    four_rank: no class group is built for an admitted d.  Any other d is
+    refused with is_admissible's reason, the one place a class group is
+    still computed here."""
     if d % 4 == 3 and is_squarefree(d):
         character(d)
+        if four_rank(d) == 0:
+            return
     res = is_admissible(d)
     if not res.admissible or res.reason == "d4-constant-only":
         raise ValueError(f"d = {d} is not admissible: {res.reason or 'constant-only'}")
@@ -90,20 +97,25 @@ def _envelope_cap(d: int, bound: Fraction | int, step: int) -> int:
     the bound every later n does.  The cap is then the first n of the
     current piece that clears, or the jump.
 
+    The walk is in integers: Q_k L_k is QL = prod_{i <= k}(q_i - 1), so the
+    next jump clears bound = num/den when QL (q - 1) den > num, and the
+    first n of the piece past bound is floor(num Q / (den QL)) + 1.
+
     Refused before the walk, whose products grow with the bound, when
     bound >= 10^12 + step: as L <= 1 the cap then passes bound, so a
     progression of this step starting below the cap has an entry at or past
     the factorization limit 10^12 below it."""
     if bound >= _FACTOR_LIMIT + step:
         raise ValueError(f"would sieve past the factorization limit {_FACTOR_LIMIT}")
-    chi = character(d)
-    Q, L = 1, Fraction(1)
+    table = character(d).table
+    num, den = bound.numerator, bound.denominator
+    Q = QL = 1
     for q in PRIMES:
-        if chi(q) != -1:
+        if table[q % d] != -1:
             continue
-        if Q * (q - 1) * L > bound:
-            return min(Q * q, int(bound / L) + 1)
-        Q, L = Q * q, L * (1 - Fraction(1, q))
+        if QL * (q - 1) * den > num:
+            return min(Q * q, num * Q // (den * QL) + 1)
+        Q, QL = Q * q, QL * (q - 1)
     raise ValueError(f"bound {bound} out of supported range")
 
 
@@ -275,23 +287,44 @@ class SurfaceRecord:
 def _bounds(d: int, g: int, xs: list[Fraction]) -> dict[tuple[int, ...], tuple[Fraction, list[int]]]:
     """{symbols: (q, T)} for every tuple of symbols s_p = (D/p) in {0, 1, -1}
     at the primes p | g: q is g^2/(3d) times the side factors at those
-    symbols, and T[i] the largest F with q F pi < xs[i], or 0 if none.  Each
-    starts from floor(x / (q pi_lo)), never too low as pi_lo < pi, clamped at
+    symbols (each p's three computed once, side_factors being cached), and
+    T[i] the largest F with q F pi < xs[i], or 0 if none.  Each starts from
+    floor(x / (q pi_lo)) = floor(x_num q_den scale / (x_den q_num pi_lo)),
+    one integer division, never too low as pi_lo < pi; it is clamped at
     10^12 + (d/g)^2, a bound _envelope_cap refuses, and steps down while
-    compare_to_threshold puts q t pi above x."""
+    compare_to_threshold, the one exact decider, puts q t pi above x."""
     primes = [p for p, _ in factorize(g).factors]
     pi_lo, _, scale = pi_bracket(PI_DIGITS)
+    clamp = _FACTOR_LIMIT + (d // g) ** 2
     bounds = {}
     for key in product((0, 1, -1), repeat=len(primes)):
         q = Fraction(g * g, 3 * d) * math.prod(side_factors(p)[s] for p, s in zip(primes, key))
         column = []
         for x in xs:
-            t = min(x * scale // (q * pi_lo), _FACTOR_LIMIT + (d // g) ** 2)
+            t = min(x.numerator * q.denominator * scale // (x.denominator * q.numerator * pi_lo), clamp)
             while t > 0 and compare_to_threshold(ExactArea(q * t), x) > 0:
                 t -= 1
             column.append(t)
         bounds[key] = q, column
     return bounds
+
+
+def _gcd_classes(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, gs, which) for square-free d: g = gcd(m, d) over m in range(d),
+    gs its distinct values ascending and which the index of each g in gs,
+    as np.unique(g, return_inverse=True) gives them, without the sort.
+
+    g is built from slices over the primes p_i of d, next to a bitmask of
+    the p_i dividing m.  Every one of the 2^omega divisors of d is some g,
+    so gs lists them all, and which maps each mask to its divisor's rank."""
+    primes = [p for p, _ in factorize(d).factors]
+    g = np.ones(d, dtype=np.int64)
+    mask = np.zeros(d, dtype=np.int64)
+    for i, p in enumerate(primes):
+        g[::p] *= p
+        mask[::p] += 1 << i
+    divisors = np.array([math.prod(p for i, p in enumerate(primes) if k >> i & 1) for k in range(1 << len(primes))], dtype=np.int64)
+    return g, np.sort(divisors), np.argsort(np.argsort(divisors))[mask]
 
 
 def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
@@ -309,14 +342,10 @@ def _scan_all(d: int, xs: list[Fraction], bound_factor: int):
     windows' (_windows) refusals come before any work that grows with g:
     the class of each r mod g, read from symbol_table at the primes of g."""
     m = np.arange(d, dtype=np.int64)
-    # gcd(m, d) from the primes of d, which is square-free
-    g = np.ones(d, dtype=np.int64)
-    for p, _ in factorize(d).factors:
-        g[::p] *= p
+    g, gs, which = _gcd_classes(d)
     c_start = (m * m - 1) // d
     step = (d // g) ** 2
     D0 = d // g * ((m * m - c_start * d) // g)
-    gs, which = np.unique(g, return_inverse=True)
     bounds = {h: _bounds(d, h, xs) for h in gs.tolist()}
     caps = [_envelope_cap(d, bound_factor * max(max(T) for _, T in b.values()), (d // h) ** 2) for h, b in bounds.items()]
     windows = _windows(d, D0, step, (np.array(caps, dtype=np.int64)[which] - D0 + step - 1) // step, len(xs))

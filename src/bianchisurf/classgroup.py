@@ -5,7 +5,9 @@ b^2 - 4ac = -d.  Reduction, Dirichlet composition, and the elementary-divisor
 decomposition of the class group live here.  The admissibility gate for the
 rest of the package (square-free d = 3 mod 4, plus the special case d = 4)
 also lives here because its output is phrased in terms of the class number.
-Every class group is computed on request; nothing is stored on disk.
+Every class group is computed on request; nothing is stored on disk.  The
+4-rank alone, which decides admissibility, is read off the primes of d by
+Redei's matrix (four_rank), with no form at all.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .ntkernel import factorize, is_squarefree
+from .ntkernel import factorize, is_squarefree, legendre
 
 
 @dataclass(frozen=True, order=True)
@@ -224,3 +226,29 @@ def is_admissible(d: int) -> AdmissibilityResult:
     return AdmissibilityResult(
         d, True, None, structure.order, structure.elementary_divisors
     )
+
+
+def four_rank(d: int) -> int:
+    """The 4-rank of the class group of discriminant -d, square-free d = 3
+    mod 4: the number of its elementary divisors divisible by 4.
+
+    Redei (J. reine angew. Math. 171, 1934): with p_1 < ... < p_t the primes
+    of d and p* = +-p = 1 mod 4 their prime discriminants, the Redei matrix
+    over F_2 has R_ij = 1 for i != j exactly when (p_j* / p_i) = -1, and each
+    diagonal entry makes its row sum to 0.  The 4-rank is t - 1 - rank R.
+    Each row is a bitmask; the rank comes from elimination on the masks.
+    Reads factorize(d) and Legendre symbols only, never a form."""
+    if d < 1 or d % 4 != 3 or not is_squarefree(d):
+        raise ValueError(f"four_rank needs square-free d = 3 mod 4, got {d}")
+    primes = [p for p, _ in factorize(d).factors]
+    basis: list[int] = []  # reduced rows, each without the top bit of any before it
+    for i, p in enumerate(primes):
+        row = 0
+        for j, q in enumerate(primes):
+            if j != i and legendre(q if q % 4 == 1 else -q, p) == -1:
+                row ^= 1 << j | 1 << i  # the entry, and the diagonal that keeps the row sum 0
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(primes) - 1 - len(basis)

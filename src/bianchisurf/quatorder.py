@@ -350,9 +350,10 @@ def _line_heads(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     heads[1, p * p : -1] = 1
     heads[2, p * p : -1] = ar
     heads[2, -1] = 1
-    squares = np.unique(np.arange(p, dtype=np.int64) ** 2 % p)
+    # by scatter, not np.unique, whose bare form imports numpy.ma on first use
     is_square = np.zeros(p, dtype=bool)
-    is_square[squares] = True
+    is_square[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    squares = np.flatnonzero(is_square)
     entry = (heads, squares, is_square)
     for a in entry:
         a.flags.writeable = False

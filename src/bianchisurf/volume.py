@@ -56,9 +56,11 @@ class ExactArea:
         return digits[:-places] + "." + digits[-places:]
 
 
+@lru_cache(maxsize=1024)
 def side_factors(p: int) -> tuple[Fraction, Fraction, Fraction]:
     """The Euler factor (1 - p^-2) / (1 - s/p) of a prime p | g = gcd(m, d)
-    at D with (D/p) = s, halved where p | D; indexed by s, so s = 0, 1, -1."""
+    at D with (D/p) = s, halved where p | D; indexed by s, so s = 0, 1, -1.
+    Computed once per p: the census's bounds and area_closed_form share it."""
     return tuple(Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0)) for s in (0, 1, -1))
 
 

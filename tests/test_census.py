@@ -4,12 +4,13 @@ import bisect
 import math
 import operator
 import os
+import random
 import signal
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, prod
 
 import mpmath
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchisurf import census, hermitian, ntkernel
+from bianchisurf import census, classgroup, hermitian, ntkernel
 from bianchisurf.census import (
     _bounds,
     _envelope_cap,
@@ -35,7 +36,7 @@ from bianchisurf.census import (
     xi,
 )
 from bianchisurf.hermitian import SurfaceIndex, d0_and_D, divisors_below_sqrt
-from bianchisurf.ntkernel import PRIME_BLOCK, character, factorize, prime_blocks
+from bianchisurf.ntkernel import PRIME_BLOCK, PRIMES, character, factorize, prime_blocks
 from bianchisurf.verify import (
     _MERTENS,
     SWEEP_DS,
@@ -46,7 +47,7 @@ from bianchisurf.verify import (
     _uniform_bound_coeff,
     pairs_under,
 )
-from bianchisurf.volume import area_closed_form, compare_to_threshold, pi_bracket
+from bianchisurf.volume import PI_DIGITS, ExactArea, area_closed_form, compare_to_threshold, pi_bracket
 
 
 def test_F_values():
@@ -564,6 +565,115 @@ def test_envelope_cap_excludes_heavy_surfaces():
             for t in enumerate_surfaces(d, X, bound_factor=4):
                 g = d // t.d0
                 assert t.D < _envelope_cap(d, _max_bound(d, g, X), t.d0**2)
+
+
+def _fraction_envelope_cap(d: int, bound, step: int) -> int:
+    # the cap as a walk of Fraction products Q L_k, bound / L taken in Fraction
+    if bound >= 10**12 + step:
+        raise ValueError("past the factorization limit")
+    chi = character(d)
+    Q, L = 1, Fraction(1)
+    for q in PRIMES:
+        if chi(q) != -1:
+            continue
+        if Q * (q - 1) * L > bound:
+            return min(Q * q, int(bound / L) + 1)
+        Q, L = Q * q, L * (1 - Fraction(1, q))
+    raise AssertionError("walk ran out of primes")
+
+
+def _cap_bounds(d: int, step: int) -> list:
+    # small bounds, powers of ten, the largest accepted bound, the walk's
+    # jumps Q_k L_k and their neighbours (where its strict test flips), and
+    # seeded random draws; each also as a Fraction a little above and below
+    top = 10**12 + step - 1
+    ints = list(range(40)) + [10**k for k in range(1, 13)] + [top - 1, top]
+    QL = 1
+    for q in PRIMES:
+        if character(d)(q) == -1:
+            QL *= q - 1
+            if QL > top:
+                break
+            ints += [QL - 1, QL, QL + 1]
+    rng = random.Random(1000003 * d + step)
+    ints += [rng.randrange(10**6) for _ in range(20)] + [rng.randrange(top + 1) for _ in range(20)]
+    fractions = [Fraction(den * b + k, den) for b in ints for den, k in ((2, -1), (7, 3), (1000003, 1)) if 0 <= den * b + k < den * (top + 1)]
+    return ints + fractions
+
+
+def test_envelope_cap_equals_the_fraction_walk():
+    for d in SWEEP_DS + (195, 999983):
+        steps = {1, d} | {(d // g) ** 2 for g in range(1, d + 1) if d % g == 0}
+        for step in sorted(steps):
+            for bound in _cap_bounds(d, step):
+                assert census._envelope_cap(d, bound, step) == _fraction_envelope_cap(d, bound, step), (d, step, bound)
+            for refused in (10**12 + step, Fraction(2 * (10**12 + step) + 1, 2)):
+                with pytest.raises(ValueError, match="factorization limit"):
+                    census._envelope_cap(d, refused, step)
+
+
+def _fraction_bounds(d: int, g: int, xs: list[Fraction], compare) -> dict:
+    # the class bounds with side factors rebuilt per class and the first
+    # estimate of t a Fraction floor
+    primes = [p for p, _ in factorize(g).factors]
+    pi_lo, _, scale = pi_bracket(PI_DIGITS)
+    bounds = {}
+    for key in product((0, 1, -1), repeat=len(primes)):
+        q = Fraction(g * g, 3 * d)
+        for p, s in zip(primes, key):
+            q *= Fraction(p * p - 1, p * p) / (1 - Fraction(s, p)) / (1 + (s == 0))
+        column = []
+        for x in xs:
+            t = min(x * scale // (q * pi_lo), 10**12 + (d // g) ** 2)
+            while t > 0 and compare(ExactArea(q * t), x) > 0:
+                t -= 1
+            column.append(t)
+        bounds[key] = q, column
+    return bounds
+
+
+def test_bounds_equal_the_fraction_version(monkeypatch):
+    # equal bounds from the same exact decisions, in the same order: the
+    # integer first estimate of t is the Fraction floor
+    def recorded(calls):
+        return lambda area, x: calls.append((area.q, x)) or compare_to_threshold(area, x)
+
+    ladders = ([Fraction(1, 3), Fraction("2.2"), Fraction(30)], [Fraction("99.5"), Fraction(10**5), Fraction(10**6, 7)],
+               [Fraction(1), Fraction(10**9 + 1, 3), Fraction(10**14)])  # the last reaches the clamp
+    for d in SWEEP_DS:
+        for g in (n for n in range(1, d + 1) if d % n == 0):
+            for xs in ladders:
+                decided, expected = [], []
+                monkeypatch.setattr(census, "compare_to_threshold", recorded(decided))
+                assert _bounds(d, g, xs) == _fraction_bounds(d, g, xs, recorded(expected)), (d, g, xs)
+                assert decided == expected, (d, g, xs)
+
+
+def test_gcd_classes_equal_np_unique():
+    for d in (3, 15, 195, 1155, 10007, 969969, 999983):
+        g, gs, which = census._gcd_classes(d)
+        assert np.array_equal(g, np.gcd(np.arange(d), d))
+        unique_gs, unique_which = np.unique(g, return_inverse=True)
+        assert np.array_equal(gs, unique_gs) and np.array_equal(which, unique_which)
+
+
+def test_admitted_requests_build_no_class_group(monkeypatch):
+    # the 4-rank gate admits these fields from the primes of d alone
+    built = []
+    class_group = classgroup.class_group
+    monkeypatch.setattr(classgroup, "class_group", lambda d: built.append(d) or class_group(d))
+    xi(999983, 10)
+    surface_counts(15, [5, 30])
+    leading_constants_bundle((15,), 10**6)
+    assert built == []
+    with pytest.raises(ValueError):
+        xi(39, 10)
+    assert built == [39]  # a refusal still reads the class group, and the spy sees it
+
+
+def test_refusal_reason_comes_from_the_class_group():
+    with pytest.raises(ValueError, match=r"^d = 39 is not admissible: invariant 4 divisible by 4$"):
+        xi(39, 10)
 
 
 @pytest.mark.parametrize("d, X", [(3, 10**5), (15, 10**4), (11, 10**5)])

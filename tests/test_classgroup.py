@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from bianchisurf.classgroup import (
     class_group,
     compose,
     form_power,
+    four_rank,
     is_admissible,
     principal_form,
     reduced_forms,
@@ -139,3 +141,19 @@ def test_admissibility_verdicts():
         assert not res.admissible and res.reason == "not positive"
     assert not is_admissible(21).admissible  # 21 = 1 mod 4
     assert is_admissible(4).admissible  # constant-chain special case
+
+
+def test_four_rank_matches_the_class_group():
+    # Redei's matrix against the elementary divisors, over every field below 2000
+    fields = [d for d in range(3, 2000, 4) if is_squarefree(d)]
+    assert len(fields) == 408
+    for d in fields:
+        assert four_rank(d) == sum(1 for v in class_group(d).elementary_divisors if v % 4 == 0), d
+    assert four_rank(39) == 1 and four_rank(15) == 0
+    assert four_rank(1000000007) == 0  # prime: t = 1, no symbol read
+
+
+def test_four_rank_refuses_other_d():
+    for d in (0, -1, 4, 12, 21, 75):
+        with pytest.raises(ValueError, match="four_rank needs square-free d = 3 mod 4"):
+            four_rank(d)

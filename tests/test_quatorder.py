@@ -2,14 +2,19 @@
 matrix representations."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bianchisurf
 from bianchisurf import quatorder
 from bianchisurf.hermitian import HermitianCircle, SurfaceIndex, pullback_circle, surface_invariants
 from bianchisurf.ntkernel import factorize, legendre
@@ -378,6 +383,25 @@ def test_head_cache_stays_within_its_budget():
     assert held <= 4 * 2**20  # the 4 MiB of the `_line_heads` docstring
     assert 199 in quatorder._head_cache  # the latest table fits, so it is kept
     assert sum(24 * (p * p + p + 1) for p in odd_primes) > 4 * 2**20  # so the loop evicted some
+
+
+def test_census_and_brute_force_leave_numpy_ma_unimported():
+    # a bare np.unique imports numpy.ma on its first call, about 10 ms
+    # inside the first request of a process
+    src = str(Path(bianchisurf.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from bianchisurf.census import enumerate_surfaces\n"
+        "from bianchisurf.hermitian import SurfaceIndex, pullback_circle\n"
+        "from bianchisurf.quatorder import build_order, eichler_symbol_bruteforce\n"
+        "assert len(enumerate_surfaces(15, 30)) > 0\n"
+        "order = build_order(pullback_circle(SurfaceIndex(15, 2, -1, 1)))\n"
+        "assert eichler_symbol_bruteforce(order, 19) == 1\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def leibniz_det(m):
